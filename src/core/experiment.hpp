@@ -44,8 +44,9 @@ std::optional<Engine> parse_engine(const std::string &name);
 
 /**
  * Widest multicore configuration accepted anywhere (config validation,
- * request decode): one core per bit of the sharer bitmask the
- * invalidation directory packs into a 64-bit word.
+ * request decode).  The duplicate-tag directory has no per-core bit, so
+ * nothing in the engine caps N; 64 is the validated limit (directory
+ * memory is N x L1D frames x 8 B, and a store scans N x ways tags).
  */
 inline constexpr std::uint32_t kMaxCoreCount = 64;
 

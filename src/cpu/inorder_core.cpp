@@ -71,7 +71,7 @@ CoreRunStats
 InOrderCore::run(std::uint64_t max_instructions, const GroupHook &hook)
 {
     VirtualListener listener{listener_};
-    return run_loop(max_instructions, hook, listener);
+    return run_loop<false>(max_instructions, hook, kNoCycleLimit, listener);
 }
 
 } // namespace leakbound::cpu

@@ -14,11 +14,12 @@
  * The run loop is a template over the access listener, so the kernel
  * path (core::run_one with a concrete listener type) compiles into one
  * devirtualized routine; the classic AccessListener interface rides on
- * the same loop through a thin adapter.  Instruction fetch consumes
- * from a small ring refilled via Workload::next_batch — one virtual
- * call per ring instead of one per µop — except while a GroupHook is
- * installed (the analytic fast path), where the workload must never
- * run ahead of the µop the core consumes next.
+ * the same loop through a thin adapter, and the multicore interleaver
+ * steps it in bounded slices through run_until.  Instruction fetch
+ * consumes from a small ring refilled via Workload::next_batch — one
+ * virtual call per ring instead of one per µop — except while a
+ * GroupHook is installed (the analytic fast path), where the workload
+ * must never run ahead of the µop the core consumes next.
  */
 
 #ifndef LEAKBOUND_CPU_INORDER_CORE_HPP
@@ -122,7 +123,10 @@ class InOrderCore
      * Observer called between fetch groups with the running stats
      * (stats.cycles is kept current).  Returning false stops the run
      * early; the instruction stream position is preserved, so a later
-     * run() continues exactly where this one stopped.
+     * run() continues exactly where this one stopped.  Only the
+     * analytic fast path installs one: it takes state signatures
+     * between groups, so a hooked run fetches unbatched.  Stopping at
+     * a cycle bound is run_until's job, with fetch still batched.
      */
     using GroupHook = std::function<bool(const CoreRunStats &)>;
 
@@ -144,7 +148,28 @@ class InOrderCore
     CoreRunStats
     run_with(std::uint64_t max_instructions, L &listener)
     {
-        return run_loop(max_instructions, GroupHook(), listener);
+        return run_loop<false>(max_instructions, GroupHook(), kNoCycleLimit,
+                               listener);
+    }
+
+    /** The cycle bound under which run_until never stops early. */
+    static constexpr Cycle kNoCycleLimit = ~Cycle{0};
+
+    /**
+     * run_with() bounded in simulated time: the run also stops at the
+     * first fetch-group boundary where cycle() >= @p limit.  The first
+     * group always runs, even when @p limit <= cycle(), so every call
+     * makes progress.  Fetch stays batched and the stream position is
+     * preserved, so a chain of bounded calls is byte-identical to one
+     * unbounded run_with: same op stream, listener events, statistics
+     * and final cycle.  This is the multicore interleaver's step.
+     */
+    template <typename L>
+    CoreRunStats
+    run_until(std::uint64_t max_instructions, Cycle limit, L &listener)
+    {
+        return run_loop<true>(max_instructions, GroupHook(), limit,
+                              listener);
     }
 
     /**
@@ -232,11 +257,15 @@ class InOrderCore
             ++ring_pos_;
     }
 
-    /** The run loop, shared by every entry point (see run_with). */
-    template <typename L>
+    /**
+     * The run loop, shared by every entry point.  @p Bounded compiles
+     * run_until's per-group `cycle_ >= limit` test in; the unbounded
+     * kernel path (run_with) carries no extra compare.
+     */
+    template <bool Bounded, typename L>
     CoreRunStats
     run_loop(std::uint64_t max_instructions, const GroupHook &hook,
-             L &listener)
+             Cycle limit, L &listener)
     {
         // A hooked run takes state signatures between groups; the
         // workload must not be driven ahead of consumption, so the
@@ -326,6 +355,10 @@ class InOrderCore
             cycle_ += 1 + stall;
             listener.on_group_end();
 
+            if constexpr (Bounded) {
+                if (cycle_ >= limit)
+                    break;
+            }
             if (hook) {
                 stats.cycles = cycle_;
                 if (!hook(stats))

@@ -1,6 +1,8 @@
 /**
  * @file
- * Implementation of the multicore shared-L2 engine.
+ * Implementation of the multicore shared-L2 engine: the per-core
+ * listener, the duplicate-tag invalidation directory, and the bounded
+ * (cycle, core_id) interleaver.
  */
 
 #include "multicore/multicore.hpp"
@@ -9,13 +11,13 @@
 #include <bit>
 #include <chrono>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "core/collecting_listener.hpp"
 #include "interval/collector.hpp"
 #include "prefetch/stride.hpp"
 #include "sim/hierarchy.hpp"
+#include "util/fault_injection.hpp"
 #include "util/logging.hpp"
 #include "util/status.hpp"
 #include "workload/spec_suite.hpp"
@@ -55,9 +57,10 @@ class Engine;
  * Per-core access listener: feeds the core's own collectors through
  * the shared CollectingListener (same classification code as the
  * single-core engine), then routes the access to the engine for the
- * shared-L2 collectors and the invalidation directory.
+ * shared-L2 collectors and the invalidation directory.  Concrete and
+ * non-virtual: InOrderCore::run_until inlines it into the run loop.
  */
-class NodeListener final : public cpu::AccessListener
+class NodeListener
 {
   public:
     NodeListener(Engine *engine, std::uint32_t core_id,
@@ -73,10 +76,10 @@ class NodeListener final : public cpu::AccessListener
         // (a per-core collector could not see other cores' touches).
     }
 
-    void on_instr_access(Cycle cycle, Pc pc,
-                         const sim::HierarchyResult &result) override;
-    void on_data_access(Cycle cycle, Pc pc, Addr addr, bool is_store,
-                        const sim::HierarchyResult &result) override;
+    void on_instr(Cycle cycle, Pc pc, const sim::HierarchyResult &result);
+    void on_data(Cycle cycle, Pc pc, Addr addr, bool is_store,
+                 const sim::HierarchyResult &result);
+    void on_group_end() {}
 
   private:
     Engine *engine_;
@@ -88,10 +91,15 @@ class NodeListener final : public cpu::AccessListener
 class Engine
 {
   public:
-    Engine(std::vector<std::string> names,
+    Engine(std::vector<std::string> names, std::string label,
            const core::ExperimentConfig &config)
-        : l2_(config.hierarchy.l2, kSharedL2Seed, config.sim_path),
+        : label_(std::move(label)),
+          l2_(config.hierarchy.l2, kSharedL2Seed, config.sim_path),
           l1d_line_shift_(config.hierarchy.l1d.line_shift()),
+          l1d_set_mask_(config.hierarchy.l1d.set_mask()),
+          l1d_ways_(config.hierarchy.l1d.associativity),
+          dir_row_(names.size() * config.hierarchy.l1d.associativity),
+          dir_(config.hierarchy.l1d.num_sets() * dir_row_, kInvalidAddr),
           l2_line_shift_(config.hierarchy.l2.line_shift()),
           l2_ways_(config.hierarchy.l2.associativity),
           banks_(l2_bank_count(config.hierarchy.l2)),
@@ -119,6 +127,7 @@ class Engine
         for (std::uint32_t i = 0;
              i < static_cast<std::uint32_t>(names.size()); ++i) {
             auto node = std::make_unique<Node>();
+            node->id = i;
             node->workload_name = names[i];
             node->isink.emplace(edges);
             node->dsink.emplace(edges);
@@ -138,8 +147,7 @@ class Engine
                 config.nl_lead_time);
             node->workload = workload::make_benchmark(names[i]);
             node->core = std::make_unique<cpu::InOrderCore>(
-                config.core, node->hierarchy.get(), node->workload.get(),
-                node->listener.get());
+                config.core, node->hierarchy.get(), node->workload.get());
             node->remaining = config.instructions;
             node->running = node->remaining != 0;
             nodes_.push_back(std::move(node));
@@ -161,48 +169,41 @@ class Engine
     }
 
     /**
-     * Invalidation directory: maintain the per-block sharer bitmask
-     * from this L1D access, and on a store kill every other core's
-     * copy — closing their open L1D intervals, and the shared line's
-     * L2 interval when the store itself never reached the L2.
+     * Invalidation directory: mirror an L1D fill into the duplicate
+     * tags, and on a store kill every other core's copy — closing their
+     * open L1D intervals, and the shared line's L2 interval when the
+     * store itself never reached the L2.
      */
     void
     on_data(std::uint32_t core_id, Cycle cycle, Addr addr, bool is_store,
             const sim::AccessResult &l1)
     {
         const Addr block = addr >> l1d_line_shift_;
-        const std::uint64_t bit = std::uint64_t{1} << core_id;
+        const std::uint64_t set = block & l1d_set_mask_;
+        Addr *row = dir_.data() + set * dir_row_;
 
-        if (!l1.hit && l1.evicted) {
-            // The victim left core_id's L1D without a coherence event;
-            // the directory tracks residency exactly, so its bit must
-            // be on.
-            auto victim = sharers_.find(l1.victim_block);
-            LEAKBOUND_ASSERT(victim != sharers_.end() &&
-                                 (victim->second & bit) != 0,
-                             "directory lost track of an evicted block");
-            victim->second &= ~bit;
-            if (victim->second == 0)
-                sharers_.erase(victim);
-        }
-
-        std::uint64_t &mask = sharers_[block];
-        mask |= bit;
+        // A fill overwrites its frame's mirrored tag; the victim leaves
+        // silently, since its slot now names the new block.
+        if (!l1.hit)
+            row[core_id * l1d_ways_ + (l1.frame - set * l1d_ways_)] = block;
         if (!is_store)
             return;
 
-        std::uint64_t others = mask & ~bit;
-        if (others == 0)
-            return; // exclusive already; no coherence traffic
-
-        ++invalidating_stores_;
-        while (others != 0) {
-            const std::uint32_t j = static_cast<std::uint32_t>(
-                std::countr_zero(others));
-            others &= others - 1;
+        // The row holds every core's tags for this set in core-id order,
+        // so remote copies are killed in core-id order.  The writer's
+        // own slot also names the block (it just hit or filled).
+        bool shared = false;
+        for (std::uint64_t slot = 0; slot < dir_row_; ++slot) {
+            if (row[slot] != block)
+                continue;
+            const auto j = static_cast<std::uint32_t>(slot / l1d_ways_);
+            if (j == core_id)
+                continue;
+            shared = true;
+            row[slot] = kInvalidAddr;
             const FrameId frame =
                 nodes_[j]->hierarchy->l1d().invalidate_block(block);
-            LEAKBOUND_ASSERT(frame != kInvalidFrame,
+            LEAKBOUND_ASSERT(frame == set * l1d_ways_ + slot % l1d_ways_,
                              "directory named a non-resident sharer");
             // The kill closes the victim frame's open interval — the
             // line must leave low-leakage state to be snooped/dropped —
@@ -215,7 +216,9 @@ class Engine
             ++nodes_[j]->invalidations_received;
             ++invalidations_;
         }
-        mask = bit; // the writer is now the sole sharer
+        if (!shared)
+            return; // exclusive already; no coherence traffic
+        ++invalidating_stores_;
 
         // A store that *missed* its L1D already touched the L2 through
         // the access itself (on_l2 above); only an L1-hit store reaches
@@ -239,6 +242,7 @@ class Engine
   private:
     struct Node
     {
+        std::uint32_t id = 0;
         std::string workload_name;
         std::optional<interval::IntervalHistogramSet> isink;
         std::optional<interval::IntervalHistogramSet> dsink;
@@ -255,6 +259,35 @@ class Engine
         std::uint64_t invalidations_received = 0;
     };
 
+    /**
+     * Directory exactness, checked once per run at O(cores x L1D
+     * frames): every mirrored tag must name the block its frame holds
+     * (kInvalidAddr for an empty frame).  A mismatch means a coherence
+     * event was lost, so the run's populations cannot be trusted.
+     */
+    void
+    check_directory()
+    {
+        if (util::fault::should_fail(util::fault::Site::Directory, label_))
+            dir_.front() ^= 1; // flip one mirrored tag
+        for (const auto &node : nodes_) {
+            const sim::Cache &l1d = node->hierarchy->l1d();
+            for (FrameId frame = 0; frame < l1d.num_frames(); ++frame) {
+                const std::uint64_t set = frame / l1d_ways_;
+                const Addr mirrored = dir_[set * dir_row_ +
+                                           node->id * l1d_ways_ +
+                                           frame % l1d_ways_];
+                if (mirrored != l1d.block_in_frame(frame)) {
+                    throw util::StatusError(util::Status(
+                        util::ErrorKind::Internal,
+                        "invalidation directory diverged from core " +
+                            std::to_string(node->id) + "'s L1D at frame " +
+                            std::to_string(frame) + " in " + label_));
+                }
+            }
+        }
+    }
+
     /** Route a shared-L2 frame event into its bank's collector. */
     void
     observe_l2_frame(FrameId frame, Cycle cycle, bool reuse)
@@ -269,8 +302,21 @@ class Engine
                                           /*nl_covered=*/false);
     }
 
+    std::string label_; ///< the mix label (fault-injection tag, errors)
     sim::Cache l2_;
     std::uint32_t l1d_line_shift_;
+    std::uint64_t l1d_set_mask_;
+    std::uint32_t l1d_ways_;
+    std::uint64_t dir_row_; ///< directory slots per L1D set (cores x ways)
+    /**
+     * The duplicate-tag directory: a copy of every core's L1D tags,
+     * slot (set x cores + core) x ways + way, kInvalidAddr for an empty
+     * frame.  One set's row is contiguous across cores, so a store
+     * scans a few host cache lines; load hits never touch it.  Written
+     * on fills and invalidations only; check_directory() proves it
+     * exact at end of run.
+     */
+    std::vector<Addr> dir_;
     std::uint32_t l2_line_shift_;
     std::uint64_t l2_ways_;
     std::uint64_t banks_;
@@ -280,29 +326,21 @@ class Engine
     std::vector<std::unique_ptr<interval::IntervalCollector>>
         bank_collectors_;
     std::vector<std::unique_ptr<Node>> nodes_;
-    /**
-     * The sparse directory: L1D block number -> bitmask of cores whose
-     * L1D holds the block.  Maintained exactly from each access result
-     * (fill sets the bit, eviction and invalidation clear it), so a
-     * lookup never over- or under-reports sharers.
-     */
-    std::unordered_map<Addr, std::uint64_t> sharers_;
     std::uint64_t invalidations_ = 0;
     std::uint64_t invalidating_stores_ = 0;
     std::uint64_t l2_interval_closes_ = 0;
 };
 
-void
-NodeListener::on_instr_access(Cycle cycle, Pc pc,
-                              const sim::HierarchyResult &result)
+inline void
+NodeListener::on_instr(Cycle cycle, Pc pc, const sim::HierarchyResult &result)
 {
     inner_.on_instr_access(cycle, pc, result);
     engine_->on_l2(cycle, result);
 }
 
-void
-NodeListener::on_data_access(Cycle cycle, Pc pc, Addr addr, bool is_store,
-                             const sim::HierarchyResult &result)
+inline void
+NodeListener::on_data(Cycle cycle, Pc pc, Addr addr, bool is_store,
+                      const sim::HierarchyResult &result)
 {
     inner_.on_data_access(cycle, pc, addr, is_store, result);
     engine_->on_l2(cycle, result);
@@ -312,36 +350,40 @@ NodeListener::on_data_access(Cycle cycle, Pc pc, Addr addr, bool is_store,
 MulticoreResult
 Engine::run()
 {
-    // One fetch group per step: the hook fires after the first group
-    // and stops the run, with the stream position preserved for the
-    // next step.  Hooked runs disable fetch batching, but the op
-    // stream and timing are contractually identical either way (see
-    // InOrderCore::set_batch_fetch), which the N=1 byte-identity test
-    // pins down.
-    const cpu::InOrderCore::GroupHook one_group =
-        [](const cpu::CoreRunStats &) { return false; };
-
     for (;;) {
-        // Step the core with the minimum (cycle, core_id): the strict
-        // < over an in-order scan breaks cycle ties toward the lower
-        // id, so the event interleaving is a pure function of the
-        // configuration.  Because the minimum only ever increases,
-        // every event — including cross-core invalidations landing in
-        // other cores' collectors — carries a globally non-decreasing
-        // cycle stamp, which is what the collectors' time-ordering
-        // invariant requires.
+        // Run the core with the minimum (cycle, core_id) until it stops
+        // being the minimum: the strict < over an in-order scan breaks
+        // cycle ties toward the lower id, and the runner-up's own cycle
+        // cannot move while another core runs.  So the minimum core
+        // keeps the turn while cycle < runner_cycle, or on a tie when it
+        // has the lower id — exactly cycle < runner_cycle + (id <
+        // runner_id) — and the resulting event order is the one a
+        // one-group-per-step scan produces.  Because the minimum only
+        // ever increases, every event — including cross-core
+        // invalidations landing in other cores' collectors — carries a
+        // globally non-decreasing cycle stamp, which is what the
+        // collectors' time-ordering invariant requires.
         Node *next = nullptr;
+        Node *runner = nullptr;
         for (auto &node : nodes_) {
-            if (node->running &&
-                (!next || node->core->cycle() < next->core->cycle())) {
+            if (!node->running)
+                continue;
+            if (!next || node->core->cycle() < next->core->cycle()) {
+                runner = next;
                 next = node.get();
+            } else if (!runner ||
+                       node->core->cycle() < runner->core->cycle()) {
+                runner = node.get();
             }
         }
         if (!next)
             break;
 
+        const Cycle limit =
+            runner ? runner->core->cycle() + (next->id < runner->id ? 1 : 0)
+                   : cpu::InOrderCore::kNoCycleLimit;
         const cpu::CoreRunStats delta =
-            next->core->run(next->remaining, one_group);
+            next->core->run_until(next->remaining, limit, *next->listener);
         if (delta.instructions == 0) {
             next->running = false; // finite workload exhausted
             continue;
@@ -356,6 +398,7 @@ Engine::run()
         if (next->remaining == 0)
             next->running = false;
     }
+    check_directory();
 
     Cycle end_cycle = 0;
     for (auto &node : nodes_) {
@@ -450,9 +493,10 @@ run_multicore(const std::string &benchmark,
     config.hierarchy.validate();
 
     const std::vector<std::string> names = resolve_mix(benchmark, config);
-    Engine engine(names, config);
+    std::string label = mix_label(names);
+    Engine engine(names, label, config);
     MulticoreResult result = engine.run();
-    result.label = mix_label(names);
+    result.label = std::move(label);
 
     std::uint64_t instructions = 0;
     for (const CoreOutcome &core : result.cores)

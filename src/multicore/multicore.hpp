@@ -10,15 +10,20 @@
  * shared L2's population comes from per-bank collectors whose merged
  * histogram is what the oracle bound is computed from.  An L2 line's
  * sleep interval ends when *any* core touches it through a miss or
- * kills a sharer's copy through the invalidation filter.
+ * kills a sharer's copy through the invalidation filter.  The filter
+ * is a duplicate-tag directory (a mirror of every core's L1D tags)
+ * that only stores consult; its exactness is checked at end of run,
+ * and a mismatch fails the run with a typed Internal error.
  *
  * Determinism contract: the interleaver is a single-threaded loop that
- * always steps the core with the minimum (cycle, core_id) pair by
- * exactly one fetch group, so the event order — and therefore every
- * histogram, statistic, and serialized byte — is a pure function of
- * the configuration.  Results are byte-identical across --jobs values
- * and across runs, and the N=1 configuration reduces exactly to the
- * single-core engine (test_multicore_equivalence proves both).
+ * always runs the core with the minimum (cycle, core_id) pair, through
+ * InOrderCore::run_until, until another core would take the minimum —
+ * the same event order as stepping one fetch group at a time.  Every
+ * histogram, statistic, and serialized byte is therefore a pure
+ * function of the configuration.  Results are byte-identical across
+ * --jobs values and across runs, the N=1 configuration reduces
+ * exactly to the single-core engine, and golden digests pin the
+ * interleaving (test_multicore_equivalence proves all three).
  */
 
 #ifndef LEAKBOUND_MULTICORE_MULTICORE_HPP

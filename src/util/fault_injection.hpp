@@ -3,14 +3,15 @@
  * Deterministic, seedable fault injection for the file-IO seams.
  *
  * Chaos builds (-DLEAKBOUND_FAULT_INJECTION=ON) compile probe calls
- * into binary_io, trace_io, the artifact cache and the suite runner;
- * each probe asks "should this operation fail now?" and the injector
- * answers from a counter-hashed pseudo-random stream, so a given
- * (seed, spec) produces the same fault pattern on every run of the
- * same serial call sequence.  Release builds (the default, OFF)
- * compile every probe to a constant-false inline — zero branches, zero
- * strings, zero symbols — which the `chaos_injector_compiled_out`
- * CTest asserts by grepping the built binary.
+ * into binary_io, trace_io, the artifact cache, the suite runner and
+ * the multicore directory check; each probe asks "should this
+ * operation fail now?" and the injector answers from a counter-hashed
+ * pseudo-random stream, so a given (seed, spec) produces the same
+ * fault pattern on every run of the same serial call sequence.
+ * Release builds (the default, OFF) compile every probe to a
+ * constant-false inline — zero branches, zero strings, zero symbols —
+ * which the `chaos_injector_compiled_out` CTest asserts by grepping
+ * the built binary.
  *
  * Configuration is a spec string, either passed programmatically
  * (tests) or through the LEAKBOUND_FAULT_INJECTION environment
@@ -20,10 +21,11 @@
  *
  * where `site` is one of open_read, open_write, short_write, enospc,
  * rename_torn, lock, simulate, net_accept, net_read, net_write,
- * net_short_write, kill_shard; `rate` is a fault probability in
- * [0, 1]; and the optional `@match` restricts the rule to probes whose
- * tag (usually a path or workload name) contains the substring.  The
- * seed comes from LEAKBOUND_FAULT_SEED (default 0x1eafb01d).
+ * net_short_write, kill_shard, directory; `rate` is a fault probability
+ * in [0, 1]; and the optional `@match` restricts the rule to probes
+ * whose tag (usually a path, workload name or multicore mix label)
+ * contains the substring.  The seed comes from LEAKBOUND_FAULT_SEED
+ * (default 0x1eafb01d).
  *
  * Example — fail a third of cache-entry publishes and every
  * simulation of ammp:
@@ -55,9 +57,10 @@ enum class Site : std::uint8_t {
     NetWrite,   ///< a socket write fails mid-frame
     NetShortWrite, ///< a socket write is truncated (partial write)
     KillShard,  ///< the shard supervisor SIGKILLs a random live shard
+    Directory,  ///< a multicore run flips one mirrored L1D tag at finalize
 };
 
-inline constexpr std::size_t kNumFaultSites = 12;
+inline constexpr std::size_t kNumFaultSites = 13;
 
 /** The spec-string name of @p site ("open_read", ...). */
 constexpr const char *
@@ -76,6 +79,7 @@ site_name(Site site)
       case Site::NetWrite: return "net_write";
       case Site::NetShortWrite: return "net_short_write";
       case Site::KillShard: return "kill_shard";
+      case Site::Directory: return "directory";
     }
     return "unknown";
 }

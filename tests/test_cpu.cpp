@@ -1,16 +1,18 @@
 /**
  * @file
  * Tests of the in-order timing core: fetch-group formation, one L1I
- * access per group, miss stall accounting with the overlap model, and
- * listener callback plumbing.
+ * access per group, miss stall accounting with the overlap model,
+ * listener callback plumbing, and run_until's cycle-bounded stepping.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cpu/inorder_core.hpp"
 #include "sim/hierarchy.hpp"
+#include "workload/spec_suite.hpp"
 #include "workload/workload.hpp"
 
 using namespace leakbound;
@@ -82,6 +84,65 @@ class RecordingListener final : public AccessListener
 
     std::vector<InstrEvent> instr;
     std::vector<DataEvent> data;
+};
+
+/** Concrete run_with/run_until listener logging every event in order. */
+struct EventLog
+{
+    enum Kind : int { Instr, Load, Store, GroupEnd };
+    struct Event
+    {
+        Cycle cycle;
+        Pc pc;
+        Addr addr;
+        Kind kind;
+        FrameId frame;
+        bool hit;
+
+        bool operator==(const Event &) const = default;
+    };
+
+    void
+    on_instr(Cycle cycle, Pc pc, const sim::HierarchyResult &result)
+    {
+        events.push_back(
+            {cycle, pc, kInvalidAddr, Instr, result.l1.frame, result.l1.hit});
+    }
+
+    void
+    on_data(Cycle cycle, Pc pc, Addr addr, bool is_store,
+            const sim::HierarchyResult &result)
+    {
+        events.push_back({cycle, pc, addr, is_store ? Store : Load,
+                          result.l1.frame, result.l1.hit});
+    }
+
+    void
+    on_group_end()
+    {
+        events.push_back({0, 0, kInvalidAddr, GroupEnd, kInvalidFrame, false});
+    }
+
+    /**
+     * Cycle at the end of every fetch group, given the run's end: each
+     * group has one L1I event, stamped with its start cycle, and a group
+     * ends where the next one starts.
+     */
+    std::vector<Cycle>
+    group_end_cycles(Cycle final_cycle) const
+    {
+        std::vector<Cycle> ends;
+        for (const Event &e : events) {
+            if (e.kind != Instr)
+                continue;
+            if (!ends.empty())
+                ends.back() = e.cycle;
+            ends.push_back(final_cycle);
+        }
+        return ends;
+    }
+
+    std::vector<Event> events;
 };
 
 MicroOp
@@ -295,4 +356,114 @@ TEST(InOrderCore, ListenerSeesMonotoneCycles)
         EXPECT_GE(e.cycle, prev);
         prev = e.cycle;
     }
+}
+
+TEST(InOrderCore, RunUntilAlwaysRunsTheFirstGroup)
+{
+    // A limit at or below the current cycle still makes progress: one
+    // fetch group, then the bound stops the run.
+    ScriptedWorkload w(straight_line(0x1000, 16));
+    sim::Hierarchy h{sim::HierarchyConfig{}};
+    InOrderCore core(CoreConfig{}, &h, &w);
+    EventLog log;
+    const CoreRunStats first = core.run_until(1'000'000, 0, log);
+    EXPECT_EQ(first.fetch_groups, 1u);
+    EXPECT_EQ(first.instructions, 4u);
+
+    const Cycle now = core.cycle();
+    const CoreRunStats second = core.run_until(1'000'000, now, log);
+    EXPECT_EQ(second.fetch_groups, 1u);
+    EXPECT_EQ(second.instructions, 4u);
+    EXPECT_GT(core.cycle(), now);
+}
+
+TEST(InOrderCore, RunUntilStopsAtTheFirstGroupBoundaryPastTheLimit)
+{
+    // The unbounded run's group-end cycles, cold misses included, are
+    // the only places a bounded run may stop: the first one >= limit.
+    const std::uint64_t budget = 4'000;
+    auto fresh_run = [&](Cycle limit, EventLog &log, Cycle &end) {
+        auto w = workload::make_benchmark("gzip");
+        sim::Hierarchy h{sim::HierarchyConfig{}};
+        InOrderCore core(CoreConfig{}, &h, w.get());
+        const CoreRunStats stats = core.run_until(budget, limit, log);
+        end = core.cycle();
+        return stats;
+    };
+
+    EventLog full;
+    Cycle full_end = 0;
+    const CoreRunStats unbounded =
+        fresh_run(InOrderCore::kNoCycleLimit, full, full_end);
+    ASSERT_EQ(unbounded.instructions, budget);
+    const std::vector<Cycle> ends = full.group_end_cycles(full_end);
+    ASSERT_EQ(ends.size(), unbounded.fetch_groups);
+
+    // Limits between boundaries, and limits exactly on one (which must
+    // stop there, not one group later).
+    const std::vector<Cycle> limits = {
+        1, 2, 500, 1'234, ends[ends.size() / 3], ends[ends.size() / 2] + 1,
+        full_end};
+    for (const Cycle limit : limits) {
+        const auto stop = std::lower_bound(ends.begin(), ends.end(), limit);
+        ASSERT_NE(stop, ends.end()) << limit;
+        EventLog log;
+        Cycle end = 0;
+        const CoreRunStats stats = fresh_run(limit, log, end);
+        EXPECT_EQ(end, *stop) << limit;
+        EXPECT_EQ(stats.cycles, *stop) << limit;
+        EXPECT_EQ(stats.fetch_groups,
+                  static_cast<std::uint64_t>(stop - ends.begin()) + 1)
+            << limit;
+        EXPECT_GE(end, limit);
+    }
+}
+
+TEST(InOrderCore, BoundedChainReproducesOneUnboundedRun)
+{
+    // Bounded calls with batched fetch leave ops buffered in the fetch
+    // ring between calls; the chain must still see exactly the stream,
+    // events, statistics and final cycle of one unbounded run_with.
+    const std::uint64_t budget = 20'000;
+
+    auto w1 = workload::make_benchmark("gcc");
+    sim::Hierarchy h1{sim::HierarchyConfig{}};
+    InOrderCore whole(CoreConfig{}, &h1, w1.get());
+    EventLog whole_log;
+    const CoreRunStats expected = whole.run_with(budget, whole_log);
+
+    auto w2 = workload::make_benchmark("gcc");
+    sim::Hierarchy h2{sim::HierarchyConfig{}};
+    InOrderCore chained(CoreConfig{}, &h2, w2.get());
+    EventLog chain_log;
+    CoreRunStats sum;
+    std::uint64_t calls = 0;
+    // Step sizes cycle through 0 (one group), 1, and longer slices.
+    const Cycles steps[] = {0, 1, 3, 17, 64, 250};
+    while (sum.instructions < budget) {
+        const Cycle limit = chained.cycle() + steps[calls % 6];
+        const CoreRunStats delta =
+            chained.run_until(budget - sum.instructions, limit, chain_log);
+        ASSERT_GT(delta.instructions, 0u);
+        sum.instructions += delta.instructions;
+        sum.fetch_groups += delta.fetch_groups;
+        sum.loads += delta.loads;
+        sum.stores += delta.stores;
+        sum.instr_stall_cycles += delta.instr_stall_cycles;
+        sum.data_stall_cycles += delta.data_stall_cycles;
+        sum.cycles = delta.cycles;
+        ++calls;
+    }
+    EXPECT_GT(calls, 100u);
+
+    EXPECT_EQ(sum.instructions, expected.instructions);
+    EXPECT_EQ(sum.cycles, expected.cycles);
+    EXPECT_EQ(chained.cycle(), whole.cycle());
+    EXPECT_EQ(sum.fetch_groups, expected.fetch_groups);
+    EXPECT_EQ(sum.loads, expected.loads);
+    EXPECT_EQ(sum.stores, expected.stores);
+    EXPECT_EQ(sum.instr_stall_cycles, expected.instr_stall_cycles);
+    EXPECT_EQ(sum.data_stall_cycles, expected.data_stall_cycles);
+    ASSERT_EQ(chain_log.events.size(), whole_log.events.size());
+    EXPECT_TRUE(chain_log.events == whole_log.events);
 }

@@ -7,6 +7,8 @@
  *    engine's, with and without L2 collection;
  *  - determinism: a multicore suite run is byte-identical between
  *    --jobs 1 and --jobs 4;
+ *  - golden digests: committed serialize_result digests pin the
+ *    interleaving order (cycle ties included) and the directory;
  *  - invalidation accounting (seed-fuzzed): every interval boundary
  *    of every collector is attributable — per-core L1 populations
  *    close one interval per access plus one per invalidation
@@ -24,8 +26,9 @@
  *    and artifact-cache fingerprints that never alias across
  *    core-count or mix changes;
  *  - chaos (fault-injection builds only): a multicore suite job hit
- *    by an injected simulate fault fails typed with retries while its
- *    siblings survive byte-identically.
+ *    by an injected simulate fault fails typed with retries, and one
+ *    whose directory is corrupted fails the end-of-run directory check
+ *    typed Internal, while their siblings survive byte-identically.
  */
 
 #include <gtest/gtest.h>
@@ -45,6 +48,7 @@
 #include "multicore/multicore.hpp"
 #include "power/technology.hpp"
 #include "util/fault_injection.hpp"
+#include "util/fingerprint.hpp"
 #include "util/json.hpp"
 #include "util/random.hpp"
 #include "util/status.hpp"
@@ -185,6 +189,45 @@ TEST(MulticoreDeterminism, RepeatedRunsAreByteIdentical)
               core::serialize_result(twice.to_experiment_result()));
     EXPECT_EQ(once.invalidations, twice.invalidations);
     EXPECT_EQ(once.end_cycle, twice.end_cycle);
+}
+
+TEST(MulticoreGolden, SerializedDigestsArePinned)
+{
+    // Committed serialize_result digests: any change to the interleaving
+    // order, the directory, or the collectors shows up here.  Regenerate
+    // only for a change meant to alter results, and say why.
+    struct Golden
+    {
+        std::vector<std::string> mix;
+        bool collect_l2;
+        std::uint32_t l2_ways;
+        const char *digest;
+    };
+    const std::vector<Golden> goldens = {
+        // Two identical cores tie on every cycle: the lower id must run
+        // first, and the higher id must stop at the runner-up's cycle.
+        {{"chase", "chase"}, false, 0, "782acf063dd3784c"},
+        {{"stream", "stencil", "chase", "gzip"}, true, 16,
+         "4b8ffff74d42791d"},
+        {{"gzip", "gcc", "stream", "chase", "stencil", "vortex", "ammp",
+          "mesa"},
+         true, 0, "8a72bf22d45c79a0"},
+    };
+    for (const Golden &golden : goldens) {
+        core::ExperimentConfig config = small_config(20'000);
+        config.collect_l2 = golden.collect_l2;
+        if (golden.l2_ways != 0)
+            config.hierarchy.l2.associativity = golden.l2_ways;
+        config.core_count = static_cast<std::uint32_t>(golden.mix.size());
+        config.workload_mix = golden.mix;
+        const std::string bytes = core::serialize_result(
+            multicore::run_multicore_summary(golden.mix.front(), config));
+        const std::string actual =
+            util::hex64(util::fnv1a(bytes.data(), bytes.size()));
+        EXPECT_EQ(actual, golden.digest)
+            << multicore::mix_label(golden.mix)
+            << ": actual digest " << actual;
+    }
 }
 
 TEST(MulticoreAccounting, EveryIntervalBoundaryIsAttributable)
@@ -470,6 +513,37 @@ TEST(MulticoreChaos, InjectedFaultFailsOneJobAndSparesSiblings)
     EXPECT_EQ(outcome.failures.front().kind,
               util::ErrorKind::FaultInjected);
     EXPECT_EQ(outcome.failures.front().retries, core::kMaxJobRetries);
+    ASSERT_TRUE(outcome.slots[1].has_value());
+    EXPECT_EQ(core::serialize_result(*outcome.slots[1]),
+              core::serialize_result(clean[1]));
+}
+
+TEST(MulticoreChaos, CorruptedDirectoryFailsOneJobTypedInternal)
+{
+    if (!util::fault::kEnabled)
+        GTEST_SKIP() << "fault injector compiled out";
+
+    core::ExperimentConfig config = small_config(20'000);
+    config.core_count = 2;
+
+    ASSERT_TRUE(util::fault::configure("", 7));
+    const auto clean = core::run_suite({"gzip", "gcc"}, config);
+    ASSERT_EQ(clean.size(), 2u);
+
+    // One flipped mirrored tag in the gzip job's directory; the
+    // end-of-run check must catch it and fail that job alone.
+    ASSERT_TRUE(util::fault::configure("directory@gzip=1", 7));
+    core::SuiteOutcome outcome =
+        core::run_suite_isolated({"gzip", "gcc"}, config);
+    const std::uint64_t flips =
+        util::fault::injected_count(util::fault::Site::Directory);
+    util::fault::reset();
+
+    EXPECT_EQ(flips, 1u);
+    ASSERT_EQ(outcome.failures.size(), 1u);
+    EXPECT_EQ(outcome.failures.front().workload, "gzip");
+    EXPECT_EQ(outcome.failures.front().kind, util::ErrorKind::Internal);
+    EXPECT_EQ(outcome.failures.front().retries, 0u); // not transient
     ASSERT_TRUE(outcome.slots[1].has_value());
     EXPECT_EQ(core::serialize_result(*outcome.slots[1]),
               core::serialize_result(clean[1]));

@@ -86,10 +86,6 @@ struct BenchReport
         std::uint64_t cycles = 0;
         double ipc = 0.0;
         bool from_cache = false; ///< loaded from the artifact cache
-        /** Decision-logic lane that actually ran ("kernel",
-         *  "reference", "mixed", "cache", or "" for analytic runs
-         *  predating the field). */
-        std::string sim_path;
     };
 
     /** One run_suite call (cold vs warm is visible per pass). */
@@ -193,7 +189,6 @@ struct BenchReport
             w.key("cycles").value(run.cycles);
             w.key("ipc").value(run.ipc);
             w.key("from_cache").value(run.from_cache);
-            w.key("sim_path").value(run.sim_path);
             w.end_object();
         }
         w.end_array();
@@ -338,7 +333,6 @@ run_suite_reported(const std::vector<std::string> &names,
         timing.cycles = run.core.cycles;
         timing.ipc = run.core.ipc();
         timing.from_cache = run.from_cache;
-        timing.sim_path = run.sim_path_effective;
         ++(run.from_cache ? suite.loaded : suite.simulated);
         report().runs.push_back(std::move(timing));
     }

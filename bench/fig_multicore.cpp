@@ -16,10 +16,8 @@
  *     bounds on the shared L2's merged per-bank interval population.
  *
  * The committed BENCH_multicore.json is this binary's --json report.
- * The default --l2-assoc of 16 deliberately exceeds the kernel's 8-way
- * ceiling so the shared L2 runs on the reference decision logic and
- * the report's "sim_path" column shows the surfaced "mixed" lane;
- * --l2-assoc 1 restores the stock direct-mapped geometry (all-kernel).
+ * The default --l2-assoc of 16 gives the shared L2 real replacement
+ * decisions; --l2-assoc 1 restores the stock direct-mapped geometry.
  *
  * Results are byte-identical across --jobs values and across runs:
  * the interleaver is a pure function of the configuration (see
@@ -60,9 +58,8 @@ main(int argc, char **argv)
     cli.add_flag("max-cores",
                  "largest core count in the sweep (of 1,2,4,8)", "8");
     cli.add_flag("l2-assoc",
-                 "shared-L2 associativity (16 exceeds the kernel's "
-                 "8-way ceiling, exercising the mixed lane; 1 is the "
-                 "stock geometry)",
+                 "shared-L2 associativity (1 is the stock "
+                 "direct-mapped geometry)",
                  "16");
     cli.parse(argc, argv);
 
@@ -89,7 +86,7 @@ main(int argc, char **argv)
     util::Table sweep("multicore sweep: IPC and coherence traffic "
                       "(shared L2, MSI invalidation filter)");
     sweep.set_header({"cores", "mix", "IPC", "invalidations",
-                      "inval stores", "L2 inval closes", "sim path"});
+                      "inval stores", "L2 inval closes"});
     util::Table bounds("per-level 70nm oracle bounds (L1 pooled over "
                        "all cores; L2 = merged bank population)");
     bounds.set_header({"cores", "mix", "L1 OPT-Drowsy", "L1 OPT-Sleep",
@@ -126,7 +123,6 @@ main(int argc, char **argv)
             timing.instructions = merged.core.instructions;
             timing.cycles = merged.core.cycles;
             timing.ipc = merged.core.ipc();
-            timing.sim_path = run.sim_path_effective;
             report().runs.push_back(std::move(timing));
 
             const std::string mix = join_names(pattern);
@@ -135,8 +131,7 @@ main(int argc, char **argv)
             sweep.add_row({std::to_string(cores), mix, ipc,
                            std::to_string(run.invalidations),
                            std::to_string(run.invalidating_stores),
-                           std::to_string(run.l2_interval_closes),
-                           run.sim_path_effective});
+                           std::to_string(run.l2_interval_closes)});
 
             std::vector<core::SavingsResult> drowsy, sleep, hybrid;
             for (const multicore::CoreOutcome &core : run.cores) {

@@ -227,16 +227,6 @@ parse_engine(const std::string &name)
     return std::nullopt;
 }
 
-const char *
-sim_path_effective_name(std::size_t kernel_caches, std::size_t num_caches)
-{
-    if (kernel_caches == num_caches)
-        return "kernel";
-    if (kernel_caches == 0)
-        return "reference";
-    return "mixed";
-}
-
 util::Status
 ExperimentConfig::validate() const
 {
@@ -273,11 +263,11 @@ namespace {
 /**
  * The kernelized lane of run_one(): plain simulation (no fast path, no
  * raw-interval retention, no L2 collection) through the devirtualized
- * batch pipeline — templated run loop over KernelRunListener, batched
- * fetch, kernel cache decision logic.  Kept as its own function so the
- * reference body in run_one() stays textually untouched; the two are
- * proved byte-identical by the differential fuzzer (test_kernel_
- * equivalence) and the fixed-workload smoke test.
+ * batch pipeline — templated run loop over KernelRunListener and
+ * batched fetch.  The general body in run_one() serves every other
+ * shape; the differential fuzzer (test_kernel_equivalence) runs one arm
+ * through each and proves them byte-identical, and the single-core
+ * golden digests pin both.
  */
 ExperimentResult
 run_one_kernel(workload::Workload &workload, const ExperimentConfig &config)
@@ -288,7 +278,7 @@ run_one_kernel(workload::Workload &workload, const ExperimentConfig &config)
     auto edges =
         interval::IntervalHistogramSet::default_edges(config.extra_edges);
 
-    sim::Hierarchy hierarchy(config.hierarchy, sim::SimMode::Kernel);
+    sim::Hierarchy hierarchy(config.hierarchy);
     ExperimentResult result{
         CacheObservation(interval::IntervalHistogramSet(edges)),
         CacheObservation(interval::IntervalHistogramSet(edges))};
@@ -314,11 +304,6 @@ run_one_kernel(workload::Workload &workload, const ExperimentConfig &config)
     result.icache.stats = hierarchy.l1i().stats();
     result.dcache.stats = hierarchy.l1d().stats();
     result.l2 = hierarchy.l2().stats();
-    result.sim_path_effective = sim_path_effective_name(
-        static_cast<std::size_t>(hierarchy.l1i().kernel_active()) +
-            static_cast<std::size_t>(hierarchy.l1d().kernel_active()) +
-            static_cast<std::size_t>(hierarchy.l2().kernel_active()),
-        3);
     result.wall_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall_start)
                               .count();
@@ -341,10 +326,9 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
 {
     // Plain simulation of the common collection shape takes the
     // devirtualized kernel lane; everything else (fast-path runs,
-    // keep_raw, L2 collection, explicit Reference selection) runs the
-    // reference pipeline below, byte-identical by construction.
-    if (!use_analytic && !config.keep_raw && !config.collect_l2 &&
-        config.sim_path == sim::SimMode::Kernel) {
+    // keep_raw, L2 collection) runs the general pipeline below,
+    // byte-identical by construction.
+    if (!use_analytic && !config.keep_raw && !config.collect_l2) {
         return run_one_kernel(workload, config);
     }
 
@@ -354,7 +338,7 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
     auto edges =
         interval::IntervalHistogramSet::default_edges(config.extra_edges);
 
-    sim::Hierarchy hierarchy(config.hierarchy, config.sim_path);
+    sim::Hierarchy hierarchy(config.hierarchy);
     ExperimentResult result{
         CacheObservation(interval::IntervalHistogramSet(edges)),
         CacheObservation(interval::IntervalHistogramSet(edges))};
@@ -381,11 +365,6 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
     }
 
     cpu::InOrderCore core(config.core, &hierarchy, &workload, &listener);
-    if (config.sim_path == sim::SimMode::Reference) {
-        // The reference arm of the differential proof exercises the
-        // legacy one-virtual-call-per-µop fetch path too.
-        core.set_batch_fetch(false);
-    }
 
     std::optional<analytic::PeriodicFastPath> fastpath;
     if (use_analytic) {
@@ -432,11 +411,6 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
     result.icache.stats = hierarchy.l1i().stats();
     result.dcache.stats = hierarchy.l1d().stats();
     result.l2 = hierarchy.l2().stats();
-    result.sim_path_effective = sim_path_effective_name(
-        static_cast<std::size_t>(hierarchy.l1i().kernel_active()) +
-            static_cast<std::size_t>(hierarchy.l1d().kernel_active()) +
-            static_cast<std::size_t>(hierarchy.l2().kernel_active()),
-        3);
     if (fastpath) {
         fastpath->add_skipped(result.icache.stats, result.dcache.stats,
                               result.l2);

@@ -172,15 +172,6 @@ class InOrderCore
                               listener);
     }
 
-    /**
-     * Enable/disable batched fetch (default on).  The op stream is
-     * identical either way — batching only changes *when* the workload
-     * generates ops, never which — but the reference arm of the kernel
-     * differential fuzzer turns it off to exercise the one-virtual-call
-     * -per-µop path.
-     */
-    void set_batch_fetch(bool on) { batch_fetch_ = on; }
-
     /** Current cycle (end-of-run timestamp after run()). */
     Cycle cycle() const { return cycle_; }
 
@@ -271,7 +262,7 @@ class InOrderCore
         // workload must not be driven ahead of consumption, so the
         // ring never refills (leftovers from an earlier batched run
         // still drain, and the signature captures them).
-        batch_active_ = batch_fetch_ && !hook;
+        batch_active_ = !hook;
 
         CoreRunStats stats;
         const Cycles l1i_hit = hierarchy_->config().l1i.hit_latency;
@@ -382,7 +373,6 @@ class InOrderCore
     std::array<trace::MicroOp, kFetchRing> ring_{};
     std::uint32_t ring_pos_ = 0;
     std::uint32_t ring_len_ = 0;
-    bool batch_fetch_ = true;  ///< batching enabled (see set_batch_fetch)
     bool batch_active_ = false; ///< batching in force for the active run
 };
 

@@ -5,7 +5,10 @@
 
 #include "interval/collector.hpp"
 
+#include <string>
+
 #include "util/logging.hpp"
+#include "util/status.hpp"
 
 namespace leakbound::interval {
 
@@ -66,6 +69,22 @@ IntervalCollector::finalize(Cycle end_cycle)
         emit(iv);
     }
     sink_->set_run_info(frames_.size(), end_cycle);
+
+    // Frame-time conservation (DESIGN.md §5): every frame's intervals
+    // tile [0, end_cycle] exactly, so the sink must hold frames x
+    // end_cycle cycles.  A stray, lost or mis-scaled interval anywhere
+    // upstream breaks the sum; fail the job instead of shipping a
+    // wrong bound.  O(bins), once per collector.
+    const std::uint64_t expected = frames_.size() * end_cycle;
+    const std::uint64_t actual = sink_->total_length();
+    if (actual != expected) {
+        throw util::StatusError(util::Status(
+            util::ErrorKind::Internal,
+            "frame-time conservation violated: intervals of " +
+                std::to_string(frames_.size()) + " frames sum to " +
+                std::to_string(actual) + " cycles, expected " +
+                std::to_string(expected)));
+    }
 }
 
 } // namespace leakbound::interval

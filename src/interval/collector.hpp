@@ -139,7 +139,11 @@ class IntervalCollector
     /**
      * Close all open intervals at @p end_cycle, emitting Trailing
      * intervals for touched frames and Untouched intervals for frames
-     * never accessed, and stamp the sink's run info.
+     * never accessed, and stamp the sink's run info.  Then check
+     * frame-time conservation: the sink's summed interval length must
+     * equal frames x @p end_cycle, which assumes this collector is the
+     * sink's only writer.  Throws util::StatusError (Internal) when it
+     * does not.
      */
     void finalize(Cycle end_cycle);
 

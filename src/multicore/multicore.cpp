@@ -94,7 +94,7 @@ class Engine
     Engine(std::vector<std::string> names, std::string label,
            const core::ExperimentConfig &config)
         : label_(std::move(label)),
-          l2_(config.hierarchy.l2, kSharedL2Seed, config.sim_path),
+          l2_(config.hierarchy.l2, kSharedL2Seed),
           l1d_line_shift_(config.hierarchy.l1d.line_shift()),
           l1d_set_mask_(config.hierarchy.l1d.set_mask()),
           l1d_ways_(config.hierarchy.l1d.associativity),
@@ -132,7 +132,7 @@ class Engine
             node->isink.emplace(edges);
             node->dsink.emplace(edges);
             node->hierarchy = std::make_unique<sim::Hierarchy>(
-                config.hierarchy, &l2_, i, config.sim_path);
+                config.hierarchy, &l2_, i);
             node->icollector =
                 std::make_unique<interval::IntervalCollector>(
                     node->hierarchy->l1i().num_frames(), &*node->isink);
@@ -413,7 +413,6 @@ Engine::run()
     result.l2_interval_closes = l2_interval_closes_;
     result.l2 = l2_.stats();
 
-    std::size_t kernel_caches = l2_.kernel_active() ? 1 : 0;
     result.cores.reserve(nodes_.size());
     for (auto &node : nodes_) {
         node->icollector->finalize(end_cycle);
@@ -426,14 +425,8 @@ Engine::run()
         outcome.icache.stats = node->hierarchy->l1i().stats();
         outcome.dcache.stats = node->hierarchy->l1d().stats();
         outcome.invalidations_received = node->invalidations_received;
-        kernel_caches +=
-            static_cast<std::size_t>(node->hierarchy->l1i().kernel_active()) +
-            static_cast<std::size_t>(node->hierarchy->l1d().kernel_active());
         result.cores.push_back(std::move(outcome));
     }
-    result.sim_path_effective = core::sim_path_effective_name(
-        kernel_caches, 2 * nodes_.size() + 1);
-
     if (!bank_collectors_.empty()) {
         for (std::uint64_t b = 0; b < banks_; ++b)
             bank_collectors_[b]->finalize(end_cycle);
@@ -503,8 +496,7 @@ run_multicore(const std::string &benchmark,
         instructions += core.stats.instructions;
     util::debug("multicore '", result.label, "': ", names.size(),
                 " cores, ", instructions, " instrs, ", result.end_cycle,
-                " cycles, ", result.invalidations, " invalidations (",
-                result.sim_path_effective, ")");
+                " cycles, ", result.invalidations, " invalidations");
     return result;
 }
 
@@ -535,7 +527,6 @@ MulticoreResult::to_experiment_result() const
     result.core = stats;
     result.l2cache = l2cache;
     result.l2 = l2;
-    result.sim_path_effective = sim_path_effective;
     return result;
 }
 

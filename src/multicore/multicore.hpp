@@ -98,8 +98,6 @@ struct MulticoreResult
      * attributable (accesses + these closes + trailing finalizes).
      */
     std::uint64_t l2_interval_closes = 0;
-    /** See ExperimentResult::sim_path_effective (2N L1s + the L2). */
-    std::string sim_path_effective;
 
     /**
      * Flatten into the single-core result shape: summed core stats

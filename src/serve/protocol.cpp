@@ -206,9 +206,6 @@ write_stats_fields(util::JsonWriter &w, const StatsSnapshot &stats)
     w.key("cache_hits").value(stats.cache_hits);
     w.key("analytic_runs").value(stats.analytic_runs);
     w.key("sim_runs").value(stats.sim_runs);
-    w.key("kernel_path_runs").value(stats.kernel_path_runs);
-    w.key("reference_path_runs").value(stats.reference_path_runs);
-    w.key("mixed_path_runs").value(stats.mixed_path_runs);
     w.key("rejected_overloaded").value(stats.rejected_overloaded);
     w.key("rejected_deadline").value(stats.rejected_deadline);
     w.key("rejected_shutting_down").value(stats.rejected_shutting_down);
@@ -289,7 +286,6 @@ render_run_response(const core::SuiteOutcome &outcome,
         w.key("ipc").value(run.core.ipc());
         w.key("from_cache").value(run.from_cache);
         w.key("engine").value(run.analytic ? "analytic" : "sim");
-        w.key("sim_path_effective").value(run.sim_path_effective);
         w.key("result_fnv")
             .value(util::hex64(util::fnv1a(bytes.data(), bytes.size())));
         if (request.want_payload)

@@ -275,9 +275,6 @@ Scheduler::execute(const core::ExperimentRequest &request,
         std::uint64_t loaded = 0;
         std::uint64_t analytic = 0;
         std::uint64_t simulated = 0;
-        std::uint64_t kernel_lane = 0;
-        std::uint64_t reference_lane = 0;
-        std::uint64_t mixed_lane = 0;
         for (const auto &slot : outcome.slots) {
             if (!slot)
                 continue;
@@ -289,24 +286,12 @@ Scheduler::execute(const core::ExperimentRequest &request,
                 ++analytic;
             else
                 ++simulated;
-            // Which decision-logic lane the fresh simulation actually
-            // took (the kernel silently falls back to reference logic
-            // for geometries it cannot pack, e.g. a 16-way L2).
-            if (slot->sim_path_effective == "kernel")
-                ++kernel_lane;
-            else if (slot->sim_path_effective == "reference")
-                ++reference_lane;
-            else if (slot->sim_path_effective == "mixed")
-                ++mixed_lane;
         }
         {
             std::lock_guard<std::mutex> lock(mutex_);
             counters_.cache_hits += loaded;
             counters_.analytic_runs += analytic;
             counters_.sim_runs += simulated;
-            counters_.kernel_path_runs += kernel_lane;
-            counters_.reference_path_runs += reference_lane;
-            counters_.mixed_path_runs += mixed_lane;
             // Crash hygiene: a shard that SIGKILLed mid-store leaves a
             // stale .lock behind; the breaker count surfacing here is
             // how an operator sees the fleet healing itself.

@@ -105,10 +105,6 @@ struct SchedulerCounters
     std::uint64_t cache_hits = 0;   ///< benchmarks loaded from the cache
     std::uint64_t analytic_runs = 0; ///< benchmarks the fast path skipped
     std::uint64_t sim_runs = 0;     ///< benchmarks simulated end to end
-    /** sim_runs by effective decision-logic lane (sim_path_effective). */
-    std::uint64_t kernel_path_runs = 0;
-    std::uint64_t reference_path_runs = 0;
-    std::uint64_t mixed_path_runs = 0;
     std::uint64_t simulations = 0;  ///< suite runs actually executed
     std::uint64_t rejected_overloaded = 0; ///< queue-bound rejections
     std::uint64_t rejected_deadline = 0;   ///< deadline-shed rejections

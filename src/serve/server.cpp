@@ -620,9 +620,6 @@ Server::stats() const
     snapshot.cache_hits = counters.cache_hits;
     snapshot.analytic_runs = counters.analytic_runs;
     snapshot.sim_runs = counters.sim_runs;
-    snapshot.kernel_path_runs = counters.kernel_path_runs;
-    snapshot.reference_path_runs = counters.reference_path_runs;
-    snapshot.mixed_path_runs = counters.mixed_path_runs;
     snapshot.rejected_overloaded = counters.rejected_overloaded;
     snapshot.rejected_deadline = counters.rejected_deadline;
     snapshot.rejected_shutting_down = counters.rejected_shutting_down;

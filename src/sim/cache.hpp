@@ -8,25 +8,19 @@
  * keys on (leakage is a property of the physical frame, not of the
  * block resident in it).
  *
- * Two implementations of the per-access decision logic coexist (see
- * SimMode in cache_config.hpp): the devirtualized *kernel*, which
- * packs a set's recency order into one 64-bit rank word and inlines
- * the replacement update per ReplacementKind, and the *reference*
- * path, which drives the virtual ReplacementPolicy objects.  They are
- * byte-identical in every observable; debug builds additionally run
- * the policy objects in lockstep with the kernel and assert agreement
- * on every victim.
+ * One decision path serves every associativity: each frame carries a
+ * recency stamp drawn from one per-cache clock, and the per-access
+ * logic is inlined once per ReplacementKind.  The per-access oracle it
+ * is differentially tested against lives in tests/ (DESIGN.md
+ * "Simulation kernel").
  */
 
 #ifndef LEAKBOUND_SIM_CACHE_HPP
 #define LEAKBOUND_SIM_CACHE_HPP
 
-#include <bit>
-#include <memory>
 #include <vector>
 
 #include "sim/cache_config.hpp"
-#include "sim/replacement.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
 #include "util/types.hpp"
@@ -66,28 +60,20 @@ struct CacheStats
 class Cache
 {
   public:
-    /**
-     * @param config validated geometry; @param seed for Random repl.
-     * @param mode kernel vs reference decision logic (byte-identical;
-     *        geometries the kernel cannot pack — more than 8 ways —
-     *        silently run the reference logic).
-     */
-    explicit Cache(const CacheConfig &config, std::uint64_t seed = 1,
-                   SimMode mode = SimMode::Kernel);
+    /** @param config validated geometry; @param seed for Random repl. */
+    explicit Cache(const CacheConfig &config, std::uint64_t seed = 1);
 
     /** Access byte address @p addr: hit or allocate. */
     AccessResult
     access(Addr addr)
     {
-        if (!kernel_)
-            return access_reference(addr);
         switch (config_.replacement) {
           case ReplacementKind::Lru:
-            return access_kernel<ReplacementKind::Lru>(addr);
+            return access<ReplacementKind::Lru>(addr);
           case ReplacementKind::Fifo:
-            return access_kernel<ReplacementKind::Fifo>(addr);
+            return access<ReplacementKind::Fifo>(addr);
           case ReplacementKind::Random:
-            return access_kernel<ReplacementKind::Random>(addr);
+            return access<ReplacementKind::Random>(addr);
         }
         LEAKBOUND_PANIC("unreachable: bad ReplacementKind");
     }
@@ -107,11 +93,10 @@ class Cache
      * requester's store triggers through the directory.  Returns the
      * frame that held the block, or kInvalidFrame when it was not
      * resident.  Replacement state is deliberately left untouched:
-     * both decision paths prefer an invalid way over a policy victim,
-     * so the kernel rank word and the reference policy objects stay in
-     * lockstep without a policy-level invalidate hook.  Statistics are
-     * untouched too — an invalidation is not an access by this cache's
-     * requester.
+     * a miss fills the first invalid way before it consults the
+     * stamps, so the freed frame's stale stamp never picks a victim.
+     * Statistics are untouched too — an invalidation is not an access
+     * by this cache's requester.
      */
     FrameId invalidate_block(Addr block);
 
@@ -124,104 +109,68 @@ class Cache
     /** Statistics so far. */
     const CacheStats &stats() const { return stats_; }
 
-    /** Whether the devirtualized kernel is active for this instance. */
-    bool kernel_active() const { return kernel_; }
-
     /** Invalidate everything and clear statistics. */
     void reset();
 
     /**
      * Append the cache's decision state (resident tags, validity, and
-     * the replacement policy's canonical recency order) to @p out;
-     * @return false when the replacement policy is not snapshot-able
-     * (Random).  Statistics are excluded — they never influence future
-     * behaviour.  Kernel and reference instances append identical
-     * bytes for identical histories.
+     * each set's ways in recency order) to @p out; @return false when
+     * the replacement policy is not snapshot-able (Random).
+     * Statistics are excluded — they never influence future behaviour
+     * — and so are absolute stamp values: two caches whose sets order
+     * their ways alike make identical decisions forever.
      */
     bool append_state(std::vector<std::uint64_t> &out) const;
 
   private:
-    /** The virtual-policy decision logic (reference/oracle path). */
-    AccessResult access_reference(Addr addr);
-
     /**
-     * Recency rank word of one set: byte p holds the way at recency
-     * position p (position 0 = next victim, position ways-1 = MRU);
-     * bytes at and above `ways` hold the 0xFF filler, which can never
-     * equal a way index.  The initial ascending order 0,1,...,ways-1
-     * matches the reference tie-break (untouched ways all carry stamp
-     * 0 and sort ascending by way).
+     * Way of the oldest stamp in the set starting at frame @p base:
+     * the strict minimum scanned from way 0 upward, so ties go to the
+     * lowest way (every way of a cold set carries stamp 0).
      */
-    static std::uint64_t
-    initial_rank(std::uint32_t ways)
+    std::uint32_t
+    oldest_way(std::uint64_t base) const
     {
-        std::uint64_t word = ~std::uint64_t{0};
-        for (std::uint32_t w = ways; w-- > 0;)
-            word = (word << 8) | w;
-        return word;
+        std::uint32_t victim = 0;
+        std::uint64_t oldest = stamp_[base];
+        for (std::uint32_t w = 1; w < ways_; ++w) {
+            if (stamp_[base + w] < oldest) {
+                oldest = stamp_[base + w];
+                victim = w;
+            }
+        }
+        return victim;
     }
 
     /**
-     * Move @p way to the MRU position of rank word @p r (@p mru =
-     * ways - 1), sliding the ways above its current position down one
-     * rank.  The way's position is found with the zero-byte trick: the
-     * lowest flagged byte of `(x - 0x01..) & ~x & 0x80..` is exactly
-     * the lowest zero byte of x (false positives only occur above it),
-     * and every way index appears in the word exactly once.
+     * The decision logic, specialized per policy: LRU stamps hits and
+     * fills, FIFO stamps fills only, Random draws its victim and
+     * stamps nothing.
      */
-    static std::uint64_t
-    touch_rank(std::uint64_t r, std::uint32_t way, std::uint32_t mru)
-    {
-        constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
-        const std::uint64_t x = r ^ (kOnes * way);
-        const std::uint64_t z =
-            (x - kOnes) & ~x & 0x8080808080808080ULL;
-        const unsigned p = static_cast<unsigned>(std::countr_zero(z)) >> 3;
-        if (p >= mru)
-            return r; // already MRU (also the whole ways == 1 case)
-        // mru <= 7, p <= mru - 1 <= 6: all shifts below stay < 64.
-        const std::uint64_t below = (std::uint64_t{1} << (8 * p)) - 1;
-        const std::uint64_t upto_mru =
-            (std::uint64_t{1} << (8 * mru)) - 1;
-        return (r & below)                       // ranks below p
-               | ((r >> 8) & (upto_mru & ~below)) // old p+1..mru slide down
-               | (static_cast<std::uint64_t>(way) << (8 * mru))
-               | (r & ((~std::uint64_t{0} << (8 * mru)) << 8)); // filler
-    }
-
-    /** The devirtualized decision logic, specialized per policy. */
     template <ReplacementKind K>
     AccessResult
-    access_kernel(Addr addr)
+    access(Addr addr)
     {
         const Addr block = addr >> line_shift_;
 
         // Same-block filter: after any access the accessed block is
-        // resident and MRU in its set, and nothing touches this cache
-        // between two of its own accesses, so a repeat of the previous
-        // block is a guaranteed hit to the same frame.  Every policy's
-        // hit path leaves the state exactly as the filter does: LRU's
-        // touch_rank is a no-op on an already-MRU way, FIFO and Random
-        // do nothing on hits.  Fetch groups walk an I-line 4 groups at
-        // a time and unit-stride data walks a D-line 8 draws at a time,
-        // so this skips most set scans.
+        // resident, and nothing touches this cache between two of its
+        // own accesses, so a repeat of the previous block is a
+        // guaranteed hit to the same frame.  Under LRU that frame
+        // already holds the newest stamp, so skipping its bump changes
+        // no recency order; FIFO and Random do nothing on hits.  Fetch groups
+        // walk an I-line 4 groups at a time and unit-stride data walks
+        // a D-line 8 draws at a time, so this skips most set scans.
         if (block == last_block_) {
             ++stats_.accesses;
             ++stats_.hits;
-#ifndef NDEBUG
-            repl_->on_hit(
-                static_cast<std::uint64_t>(last_frame_) / ways_,
-                static_cast<std::uint32_t>(
-                    static_cast<std::uint64_t>(last_frame_) % ways_));
-#endif
             AccessResult repeat;
             repeat.hit = true;
             repeat.frame = last_frame_;
             return repeat;
         }
 
-        const std::uint64_t set = block & set_mask_;
-        const std::uint64_t base = set * ways_;
+        const std::uint64_t base = (block & set_mask_) * ways_;
 
         ++stats_.accesses;
 
@@ -235,10 +184,7 @@ class Cache
             }
             if (tags_[base + w] == block) {
                 if constexpr (K == ReplacementKind::Lru)
-                    rank_[set] = touch_rank(rank_[set], w, ways_ - 1);
-#ifndef NDEBUG
-                repl_->on_hit(set, w); // shadow the oracle in lockstep
-#endif
+                    stamp_[base + w] = ++clock_;
                 ++stats_.hits;
                 result.hit = true;
                 result.frame = static_cast<FrameId>(base + w);
@@ -248,21 +194,15 @@ class Cache
             }
         }
 
+        // Miss path: prefer the first invalid way; otherwise the
+        // policy picks a valid resident victim.
         ++stats_.misses;
         std::uint32_t way = invalid_way;
         if (way == ways_) {
             if constexpr (K == ReplacementKind::Random)
-                way = static_cast<std::uint32_t>(
-                    kernel_rng_.next_below(ways_));
+                way = static_cast<std::uint32_t>(rng_.next_below(ways_));
             else
-                way = static_cast<std::uint32_t>(rank_[set] & 0xff);
-#ifndef NDEBUG
-            LEAKBOUND_ASSERT(repl_->victim_way(set) == way,
-                             "kernel victim diverged from the reference "
-                             "policy in set ", set);
-            LEAKBOUND_ASSERT(way < ways_ && valid_[base + way],
-                             "kernel picked an invalid victim way ", way);
-#endif
+                way = oldest_way(base);
             result.evicted = true;
             result.victim_block = tags_[base + way];
             ++stats_.evictions;
@@ -271,10 +211,7 @@ class Cache
         tags_[base + way] = block;
         valid_[base + way] = 1;
         if constexpr (K != ReplacementKind::Random)
-            rank_[set] = touch_rank(rank_[set], way, ways_ - 1);
-#ifndef NDEBUG
-        repl_->on_fill(set, way); // shadow the oracle in lockstep
-#endif
+            stamp_[base + way] = ++clock_;
         result.frame = static_cast<FrameId>(base + way);
         last_block_ = block;
         last_frame_ = result.frame;
@@ -293,21 +230,18 @@ class Cache
     std::vector<Addr> tags_;          ///< resident block number per frame
     std::vector<std::uint8_t> valid_; ///< validity per frame
     /**
-     * The reference policy objects.  In Reference mode (or for
-     * geometries the kernel cannot pack) they make every decision; in
-     * kernel mode they are the debug-build shadow oracle and are never
-     * consulted in release builds.
+     * Recency stamp per frame (LRU and FIFO): the clock_ value of the
+     * frame's last stamping access, 0 for never.  Only the order of
+     * the stamps within a set is observable.
      */
-    std::unique_ptr<ReplacementPolicy> repl_;
-    bool kernel_ = false;            ///< kernel decision logic active
-    std::vector<std::uint64_t> rank_; ///< per-set rank word (kernel)
-    // Same-block filter (kernel path): the previously accessed block
-    // and its frame.  Derived state — always the MRU of its set — so
-    // it is excluded from append_state() and cleared by reset().
+    std::vector<std::uint64_t> stamp_;
+    std::uint64_t clock_ = 0;
+    // Same-block filter: the previously accessed block and its frame.
+    // Derived state, so it is excluded from append_state() and
+    // cleared by reset().
     Addr last_block_ = kInvalidAddr;
     FrameId last_frame_ = kInvalidFrame;
-    util::Rng kernel_rng_;           ///< kernel Random draws (lockstep
-                                     ///< with RandomPolicy's stream)
+    util::Rng rng_;                  ///< Random victim draws
     CacheStats stats_;
     std::uint64_t seed_;
 };

@@ -26,22 +26,6 @@ enum class ReplacementKind : std::uint8_t {
 /** Printable replacement policy name. */
 const char *replacement_name(ReplacementKind kind);
 
-/**
- * Which implementation of the per-access decision logic a cache (and
- * the hierarchy built from it) runs.  Kernel selects the devirtualized
- * rank-word fast path specialized per ReplacementKind; Reference keeps
- * the virtual ReplacementPolicy objects.  The two are byte-identical
- * in every observable — access results, statistics, state snapshots —
- * which the kernel differential fuzzer (`ctest -L kernel`) proves;
- * Reference exists as the debug-checked oracle, the same convention
- * EdgeIndex and the analytic engine use (DESIGN.md "Simulation
- * kernel").
- */
-enum class SimMode : std::uint8_t {
-    Kernel,    ///< inlined per-kind kernel (default)
-    Reference, ///< virtual replacement-policy path (oracle)
-};
-
 /** Geometry and timing of one cache level. */
 struct CacheConfig
 {

@@ -38,20 +38,19 @@ requester_seed(std::uint64_t base, std::uint32_t requester)
 
 } // namespace
 
-Hierarchy::Hierarchy(const HierarchyConfig &config, SimMode mode)
-    : config_(config), l1i_(config.l1i, /*seed=*/11, mode),
-      l1d_(config.l1d, /*seed=*/13, mode),
-      owned_l2_(std::make_unique<Cache>(config.l2, /*seed=*/17, mode)),
+Hierarchy::Hierarchy(const HierarchyConfig &config)
+    : config_(config), l1i_(config.l1i, /*seed=*/11),
+      l1d_(config.l1d, /*seed=*/13),
+      owned_l2_(std::make_unique<Cache>(config.l2, /*seed=*/17)),
       l2_(owned_l2_.get())
 {
     config_.validate();
 }
 
 Hierarchy::Hierarchy(const HierarchyConfig &config, Cache *shared_l2,
-                     std::uint32_t requester, SimMode mode)
-    : config_(config),
-      l1i_(config.l1i, requester_seed(11, requester), mode),
-      l1d_(config.l1d, requester_seed(13, requester), mode),
+                     std::uint32_t requester)
+    : config_(config), l1i_(config.l1i, requester_seed(11, requester)),
+      l1d_(config.l1d, requester_seed(13, requester)),
       l2_(shared_l2)
 {
     LEAKBOUND_ASSERT(shared_l2 != nullptr,

@@ -4,8 +4,8 @@
  * flat memory, with the paper's latencies (Section 4.1).
  *
  * The access paths are defined inline so that, together with the
- * cache's kernel access path, one hierarchy access compiles into a
- * single straight-line routine inside the simulation loop.
+ * cache's access path, one hierarchy access compiles into a single
+ * straight-line routine inside the simulation loop.
  */
 
 #ifndef LEAKBOUND_SIM_HIERARCHY_HPP
@@ -47,12 +47,8 @@ struct HierarchyResult
 class Hierarchy
 {
   public:
-    /**
-     * @param mode decision-logic selection forwarded to all three
-     *        caches (byte-identical either way; see SimMode).
-     */
-    explicit Hierarchy(const HierarchyConfig &config,
-                       SimMode mode = SimMode::Kernel);
+    /** Build the two L1s and the L2 of @p config. */
+    explicit Hierarchy(const HierarchyConfig &config);
 
     /**
      * A private-L1 node over an externally owned shared L2 (the
@@ -64,7 +60,7 @@ class Hierarchy
      * which is what anchors the N=1 multicore byte-identity proof.
      */
     Hierarchy(const HierarchyConfig &config, Cache *shared_l2,
-              std::uint32_t requester, SimMode mode = SimMode::Kernel);
+              std::uint32_t requester);
 
     /** Fetch the instruction line containing @p pc. */
     HierarchyResult access_instr(Pc pc) { return access_through(l1i_, pc); }

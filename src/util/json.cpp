@@ -508,7 +508,7 @@ class JsonParser
               case 'r': out += '\r'; break;
               case 't': out += '\t'; break;
               case 'u': {
-                std::uint32_t code;
+                std::uint32_t code = 0;
                 if (Status st = parse_hex4(code); !st.ok())
                     return st;
                 if (code >= 0xd800 && code <= 0xdbff) {
@@ -517,7 +517,7 @@ class JsonParser
                         text_[pos_ + 1] != 'u')
                         return fail("unpaired surrogate");
                     pos_ += 2;
-                    std::uint32_t low;
+                    std::uint32_t low = 0;
                     if (Status st = parse_hex4(low); !st.ok())
                         return st;
                     if (low < 0xdc00 || low > 0xdfff)

@@ -10,6 +10,7 @@
 
 #include "interval/collector.hpp"
 #include "interval/interval_histogram.hpp"
+#include "util/status.hpp"
 
 using namespace leakbound;
 using namespace leakbound::interval;
@@ -151,6 +152,27 @@ TEST(Collector, ZeroLengthIntervalsAllowed)
     c.on_access(0, 10, true, false, false);
     c.finalize(20);
     EXPECT_EQ(c.raw()[1].length, 0u);
+}
+
+TEST(Collector, StrayIntervalFailsFinalizeTypedInternal)
+{
+    // finalize() checks frame-time conservation on its sink: one
+    // interval the collector did not produce breaks frames x end_cycle
+    // and fails the run with a typed Internal error, not a number.
+    auto set = make_set();
+    Interval stray;
+    stray.length = 7;
+    set.add(stray);
+    IntervalCollector c(2, &set);
+    c.on_access(0, 10, false, false, false);
+    try {
+        c.finalize(100);
+        FAIL() << "finalize accepted a sink holding a stray interval";
+    } catch (const util::StatusError &e) {
+        EXPECT_EQ(e.status().kind(), util::ErrorKind::Internal);
+        EXPECT_NE(std::string(e.what()).find("conservation"),
+                  std::string::npos);
+    }
 }
 
 TEST(CollectorDeath, OutOfOrderAccessPanics)

@@ -294,22 +294,37 @@ TEST(InOrderCore, ZeroFetchWidthIsATypedError)
 
 TEST(InOrderCore, BatchedAndUnbatchedFetchAgree)
 {
-    // set_batch_fetch(false) is the differential fuzzer's reference
-    // arm: the op stream and all statistics must be identical.
-    ScriptedWorkload wa(straight_line(0x1000, 100));
-    ScriptedWorkload wb(straight_line(0x1000, 100));
+    // A hooked run fetches unbatched (the analytic fast path takes
+    // state signatures between groups); batching only changes when the
+    // workload generates ops, never which, so the op stream and all
+    // statistics must match a batched run_with.
+    const std::uint64_t budget = 20'000;
+    auto wa = workload::make_benchmark("gcc");
+    auto wb = workload::make_benchmark("gcc");
     sim::Hierarchy ha{sim::HierarchyConfig{}};
     sim::Hierarchy hb{sim::HierarchyConfig{}};
-    InOrderCore batched(CoreConfig{}, &ha, &wa, nullptr);
-    InOrderCore unbatched(CoreConfig{}, &hb, &wb, nullptr);
-    unbatched.set_batch_fetch(false);
-    const CoreRunStats a = batched.run(1'000'000);
-    const CoreRunStats b = unbatched.run(1'000'000);
+    InOrderCore batched(CoreConfig{}, &ha, wa.get());
+    InOrderCore unbatched(CoreConfig{}, &hb, wb.get());
+    EventLog log;
+    const CoreRunStats a = batched.run_with(budget, log);
+    std::uint64_t groups_seen = 0;
+    const CoreRunStats b = unbatched.run(
+        budget, [&groups_seen](const CoreRunStats &) {
+            ++groups_seen;
+            return true;
+        });
+    EXPECT_EQ(a.instructions, budget);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.fetch_groups, b.fetch_groups);
     EXPECT_EQ(a.loads, b.loads);
     EXPECT_EQ(a.stores, b.stores);
+    EXPECT_EQ(a.instr_stall_cycles, b.instr_stall_cycles);
+    EXPECT_EQ(a.data_stall_cycles, b.data_stall_cycles);
+    EXPECT_GT(groups_seen, 0u);
+    EXPECT_EQ(ha.l1i().stats().misses, hb.l1i().stats().misses);
+    EXPECT_EQ(ha.l1d().stats().misses, hb.l1d().stats().misses);
+    EXPECT_EQ(ha.l2().stats().misses, hb.l2().stats().misses);
 }
 
 TEST(InOrderCore, RespectsInstructionBudget)

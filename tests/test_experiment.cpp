@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/artifact_cache.hpp"
 #include "core/experiment.hpp"
 #include "core/generalized_model.hpp"
 #include "core/policies.hpp"
@@ -90,34 +89,6 @@ TEST(Experiment, DeterministicAcrossRuns)
     EXPECT_EQ(a.dcache.stats.misses, b.dcache.stats.misses);
     EXPECT_EQ(a.dcache.intervals.total_intervals(),
               b.dcache.intervals.total_intervals());
-}
-
-TEST(Experiment, KernelMatchesReferenceOnFixedWorkloads)
-{
-    // The devirtualized kernel lane and the virtual-dispatch reference
-    // path (which also runs unbatched fetch) must serialize to the
-    // same bytes on real suite members: gzip exercises LoopProgram
-    // batching, gcc the call-graph walker.  The random-geometry sweep
-    // lives in test_kernel_equivalence (ctest -L kernel); this pins
-    // the stock configuration inside tier 1.
-    for (const char *name : {"gzip", "gcc"}) {
-        ExperimentConfig kernel_config = small_config();
-        kernel_config.sim_path = sim::SimMode::Kernel;
-        ExperimentConfig reference_config = small_config();
-        reference_config.sim_path = sim::SimMode::Reference;
-
-        auto wk = workload::make_benchmark(name);
-        const ExperimentResult k = run_experiment(*wk, kernel_config);
-        auto wr = workload::make_benchmark(name);
-        const ExperimentResult r = run_experiment(*wr, reference_config);
-
-        EXPECT_EQ(serialize_result(k), serialize_result(r)) << name;
-        // sim_path is excluded from config fingerprints: both lanes
-        // name the same artifact.
-        EXPECT_EQ(fingerprint_config(kernel_config),
-                  fingerprint_config(reference_config))
-            << name;
-    }
 }
 
 TEST(Experiment, SchemeOrderingMatchesPaperOnRealRun)

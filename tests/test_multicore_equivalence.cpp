@@ -146,18 +146,6 @@ TEST(MulticoreReduction, N1IsByteIdenticalToTheSingleCoreEngine)
     }
 }
 
-TEST(MulticoreReduction, N1ReferencePathAlsoReduces)
-{
-    // The same reduction must hold on the virtual-dispatch reference
-    // lane (the one a >8-way cache silently falls back to).
-    core::ExperimentConfig config = small_config(60'000);
-    config.sim_path = sim::SimMode::Reference;
-    const std::string single = single_core_bytes("gzip", config);
-    config.core_count = 1;
-    EXPECT_EQ(single, core::serialize_result(
-                          multicore::run_multicore_summary("gzip", config)));
-}
-
 TEST(MulticoreDeterminism, SuiteIsByteIdenticalAcrossJobsValues)
 {
     core::ExperimentConfig config = small_config(40'000);

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 
 #include "core/inflection.hpp"
 #include "power/technology.hpp"
@@ -17,12 +19,26 @@ using namespace leakbound::core;
 
 namespace {
 
+/**
+ * gtest prints a parameter without operator<< as its raw bytes and
+ * ctest puts that text in the test's name, so the row holds no padding:
+ * `zero_fill` gives the four bytes after the enum a fixed value, where
+ * padding would print whatever the stack held and rename the test from
+ * build to build.
+ */
 struct Table1Row
 {
+    Table1Row(power::TechNode n, Cycles a, Cycles b)
+        : node(n), active_drowsy(a), drowsy_sleep(b)
+    {
+    }
+
     power::TechNode node;
+    std::uint32_t zero_fill = 0;
     Cycles active_drowsy;
     Cycles drowsy_sleep;
 };
+static_assert(std::has_unique_object_representations_v<Table1Row>);
 
 } // namespace
 

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/generalized_model.hpp"
 #include "core/policies.hpp"
 #include "core/savings.hpp"
@@ -57,11 +60,20 @@ rich_population(std::uint64_t seed)
     return out;
 }
 
+/**
+ * gtest prints the parameter's raw bytes into the test name, so
+ * `zero_fill` covers what would be padding and the name stays the same
+ * from build to build.
+ */
 struct Case
 {
+    Case(power::TechNode n, std::uint64_t s) : node(n), seed(s) {}
+
     power::TechNode node;
+    std::uint32_t zero_fill = 0;
     std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<Case>);
 
 std::string
 case_name(const ::testing::TestParamInfo<Case> &info)

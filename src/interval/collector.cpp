@@ -87,4 +87,17 @@ IntervalCollector::finalize(Cycle end_cycle)
     }
 }
 
+void
+check_access_count(std::uint64_t observed, std::uint64_t expected,
+                   const std::string &what)
+{
+    if (observed == expected)
+        return;
+    throw util::StatusError(util::Status(
+        util::ErrorKind::Internal,
+        "access-count conservation violated: " + what + " collectors saw " +
+            std::to_string(observed) + " accesses, the cache delivered " +
+            std::to_string(expected)));
+}
+
 } // namespace leakbound::interval

@@ -2,8 +2,8 @@
  * @file
  * Tests of the interval collector: full timeline partitioning
  * (leading/inner/trailing/untouched), the frame-time conservation
- * invariant, prefetch-class precedence, reuse flags and misuse
- * detection.
+ * invariant, the access-count conservation helper, prefetch-class
+ * precedence, reuse flags and misuse detection.
  */
 
 #include <gtest/gtest.h>
@@ -173,6 +173,24 @@ TEST(Collector, StrayIntervalFailsFinalizeTypedInternal)
         EXPECT_NE(std::string(e.what()).find("conservation"),
                   std::string::npos);
     }
+}
+
+TEST(Collector, AccessCountMismatchFailsTypedInternal)
+{
+    // The helper both simulation engines call after a run: equal counts
+    // pass; a collector that saw fewer (or more) accesses than its
+    // cache delivered fails typed Internal and names the cache.
+    EXPECT_NO_THROW(check_access_count(42, 42, "L1I"));
+    try {
+        check_access_count(41, 42, "core 3 L1D");
+        FAIL() << "a lost access passed the conservation check";
+    } catch (const util::StatusError &e) {
+        EXPECT_EQ(e.status().kind(), util::ErrorKind::Internal);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("access-count conservation"), std::string::npos);
+        EXPECT_NE(what.find("core 3 L1D"), std::string::npos);
+    }
+    EXPECT_THROW(check_access_count(43, 42, "shared L2"), util::StatusError);
 }
 
 TEST(CollectorDeath, OutOfOrderAccessPanics)

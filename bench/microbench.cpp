@@ -2,9 +2,9 @@
  * @file
  * google-benchmark micro-benchmarks of the simulator substrate itself:
  * cache access throughput, interval collection, histogram insertion,
- * exact policy evaluation, the stride predictor and the end-to-end
- * pipeline.  These guard the "laptop-scale in seconds" property the
- * bench suite depends on.
+ * exact policy evaluation, the stride predictor, the next-line monitor
+ * and the end-to-end pipeline.  These guard the "laptop-scale in
+ * seconds" property the bench suite depends on.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +17,7 @@
 #include "core/policies.hpp"
 #include "core/savings.hpp"
 #include "interval/collector.hpp"
+#include "prefetch/next_line.hpp"
 #include "prefetch/stride.hpp"
 #include "sim/cache.hpp"
 #include "trace/trace_io.hpp"
@@ -132,6 +133,32 @@ BM_StridePredictor(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StridePredictor);
+
+void
+BM_NextLineMonitor(benchmark::State &state)
+{
+    // One observation's monitor work, covers (block-1) then record
+    // (block), over a 32K-block region walked in order (arg 0) or at
+    // random (arg 1): the paged table's best and worst case.
+    constexpr std::size_t kBlocks = 1 << 15;
+    std::vector<Addr> blocks(kBlocks);
+    util::Rng rng(6);
+    for (std::size_t i = 0; i < kBlocks; ++i)
+        blocks[i] = 0x40000 + (state.range(0) != 0 ? rng.next_below(kBlocks)
+                                                    : i);
+    prefetch::NextLineMonitor monitor;
+    Cycle cycle = 0;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const Addr block = blocks[i++ & (kBlocks - 1)];
+        cycle += 4;
+        const Cycle open_since = cycle > 4096 ? cycle - 4096 : 0;
+        benchmark::DoNotOptimize(monitor.covers(block, open_since, cycle, 0));
+        monitor.record(block, cycle);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NextLineMonitor)->Arg(0)->Arg(1);
 
 void
 BM_PolicyEvaluation(benchmark::State &state)

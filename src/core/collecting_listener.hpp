@@ -1,11 +1,12 @@
 /**
  * @file
- * The interval-collecting access listener, hoisted out of
- * experiment.cpp so the multicore engine (src/multicore) can drive the
- * exact same classification logic per core.  Textual sharing is part
- * of the N=1 byte-identity argument: a multicore node classifies an
- * access with the same code path a single-core run does, so identical
- * access streams produce identical interval populations.
+ * The interval-collecting access listener of run_one's general lane:
+ * keep_raw runs, single-core L2 collection and the analytic fast path
+ * (which reads its next-line monitors for state signatures).  It
+ * classifies each access as it happens, through the virtual
+ * AccessListener interface.  The kernel lane and every multicore core
+ * use core::BatchedObserver instead; the kernel-equivalence fuzzer
+ * proves the two byte-identical.
  */
 
 #ifndef LEAKBOUND_CORE_COLLECTING_LISTENER_HPP

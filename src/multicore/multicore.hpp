@@ -5,9 +5,11 @@
  * L1Ds, and a deterministic cycle interleaver.
  *
  * The engine is the multicore counterpart of core::run_experiment:
- * per-core interval populations come from per-core collectors driven
- * by the exact CollectingListener the single-core engine uses, and the
- * shared L2's population comes from per-bank collectors whose merged
+ * per-core interval populations come from per-core collectors fed by
+ * the core::BatchedObserver the single-core kernel lane uses (same
+ * classification code, so identical access streams produce identical
+ * populations), and the shared L2's population comes from per-bank
+ * collectors, fed through one engine-level event log, whose merged
  * histogram is what the oracle bound is computed from.  An L2 line's
  * sleep interval ends when *any* core touches it through a miss or
  * kills a sharer's copy through the invalidation filter.  The filter
@@ -19,6 +21,10 @@
  * always runs the core with the minimum (cycle, core_id) pair, through
  * InOrderCore::run_until, until another core would take the minimum —
  * the same event order as stepping one fetch group at a time.  Every
+ * observation is appended to a log in that order: a remote
+ * invalidation joins the victim core's D-log, an L2 event the
+ * engine's L2 log, and all logs are classified before the directory
+ * check and the collectors' finalize.  Every
  * histogram, statistic, and serialized byte is therefore a pure
  * function of the configuration.  Results are byte-identical across
  * --jobs values and across runs, the N=1 configuration reduces

@@ -441,6 +441,9 @@ TEST(SingleCoreGolden, SerializedDigestsArePinned)
         {"stream", S::Default, 200'000, "52981c994f5580c9", true},
         {"stencil", S::Default, 200'000, "e3d9eb7853471be0", true},
         {"chase", S::Default, 200'000, "033157a12f2e7733", true},
+        {"stream", S::Fifo, 200'000, "52981c994f5580c9", true},
+        {"stencil", S::Fifo, 200'000, "e3d9eb7853471be0", true},
+        {"chase", S::Fifo, 200'000, "646059be933c2aec", true},
     };
     for (const Golden &golden : goldens) {
         auto workload = workload::make_benchmark(golden.benchmark);

@@ -92,7 +92,6 @@ main(int argc, char **argv)
     core::SuiteFlagSpec spec;
     spec.csv_dir = false;
     spec.suite_passes = false;
-    spec.engine = false; // multicore requests always simulate
     spec.default_instructions = 200'000;
     core::register_suite_flags(cli, spec);
     cli.add_flag("core-count", "cores in the multicore request", "4");
@@ -111,10 +110,9 @@ main(int argc, char **argv)
     config.scheduler.suite_jobs = core::suite_jobs(cli);
     config.scheduler.cache_dir =
         core::resolve_cache_dir(cli.get("cache-dir"));
-    // Force the warm probe through the artifact cache (see
-    // bench_analytic for the same reasoning): with the response LRU on
-    // it would be answered from memory, proving nothing about whether
-    // multicore results commit.
+    // Force the warm probe through the artifact cache: with the
+    // response LRU on it would be answered from memory, proving nothing
+    // about whether multicore results commit.
     config.scheduler.response_cache_bytes = 0;
 
     serve::Server server(config);

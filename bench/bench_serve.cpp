@@ -183,7 +183,6 @@ main(int argc, char **argv)
     core::SuiteFlagSpec spec;
     spec.csv_dir = false;
     spec.suite_passes = false;
-    spec.engine = false; // requests pin the default engine
     spec.default_instructions = 200'000;
     core::register_suite_flags(cli, spec);
     cli.add_flag("benchmarks",

@@ -134,11 +134,6 @@ fingerprint_config(const ExperimentConfig &config)
     // identical results and should share an entry.
     fp.mix_u64_vector(
         interval::IntervalHistogramSet::default_edges(config.extra_edges));
-    // Engine + fast-path version: analytic and simulated results are
-    // byte-identical by construction, but keying them apart means a
-    // fast-path bug can never poison the simulated cache population.
-    fp.mix_u64(static_cast<std::uint64_t>(config.engine));
-    fp.mix_u64(kAnalyticEngineVersion);
     // Multicore shape: the length prefix keeps an empty mix from
     // aliasing a homogeneous explicit one, and the names keep mixes
     // apart by content *and* order (core i's stream depends on its

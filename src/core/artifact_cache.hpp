@@ -51,16 +51,12 @@
 
 namespace leakbound::core {
 
-/** Bump whenever the serialized layout or its semantics change. */
-inline constexpr std::uint32_t kArtifactFormatVersion = 1;
-
 /**
- * Version of the analytic fast path (src/analytic), mixed into config
- * fingerprints alongside the engine selector.  Bump on any change to
- * the detector or skip math so entries produced by an older fast path
- * can never satisfy a newer build's lookups.
+ * Bump whenever the serialized layout, its semantics or the
+ * fingerprint recipe change; it is mixed into every fingerprint and
+ * stamped into every entry header.
  */
-inline constexpr std::uint64_t kAnalyticEngineVersion = 1;
+inline constexpr std::uint32_t kArtifactFormatVersion = 2;
 
 /**
  * Fingerprint of every ExperimentConfig field that influences
@@ -68,8 +64,8 @@ inline constexpr std::uint64_t kAnalyticEngineVersion = 1;
  * stride table shape, nl_lead_time, collect_l2, and the final
  * sorted+deduped histogram edge list derived from extra_edges.
  * Excluded by design: jobs (merge order is deterministic), keep_raw
- * (raw-keeping runs bypass the cache), cache_dir itself, and the
- * cosmetic per-cache name strings.
+ * (raw-keeping runs bypass the cache), cache_dir itself, the unused
+ * engine field, and the cosmetic per-cache name strings.
  */
 std::uint64_t fingerprint_config(const ExperimentConfig &config);
 

@@ -1,12 +1,11 @@
 /**
  * @file
  * The interval-collecting access listener of run_one's general lane:
- * keep_raw runs, single-core L2 collection and the analytic fast path
- * (which reads its next-line monitors for state signatures).  It
- * classifies each access as it happens, through the virtual
- * AccessListener interface.  The kernel lane and every multicore core
- * use core::BatchedObserver instead; the kernel-equivalence fuzzer
- * proves the two byte-identical.
+ * keep_raw runs and single-core L2 collection.  It classifies each
+ * access as it happens, through the virtual AccessListener interface.
+ * The kernel lane and every multicore core use core::BatchedObserver
+ * instead; the kernel-equivalence fuzzer proves the two
+ * byte-identical.
  */
 
 #ifndef LEAKBOUND_CORE_COLLECTING_LISTENER_HPP
@@ -76,12 +75,6 @@ class CollectingListener final : public cpu::AccessListener
     {
         l2collector_ = collector;
     }
-
-    /** The L1I next-line monitor (analytic fast-path state capture). */
-    prefetch::NextLineMonitor &imonitor() { return imonitor_; }
-
-    /** The L1D next-line monitor (analytic fast-path state capture). */
-    prefetch::NextLineMonitor &dmonitor() { return dmonitor_; }
 
   private:
     void

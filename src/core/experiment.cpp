@@ -11,7 +11,6 @@
 #include <memory>
 #include <utility>
 
-#include "analytic/engine.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/batched_observer.hpp"
 #include "core/collecting_listener.hpp"
@@ -102,32 +101,6 @@ standard_extra_edges()
     return edges;
 }
 
-const char *
-engine_name(Engine engine)
-{
-    switch (engine) {
-      case Engine::Auto:
-        return "auto";
-      case Engine::Analytic:
-        return "analytic";
-      case Engine::Sim:
-        return "sim";
-    }
-    LEAKBOUND_PANIC("unreachable: bad Engine");
-}
-
-std::optional<Engine>
-parse_engine(const std::string &name)
-{
-    if (name == "auto")
-        return Engine::Auto;
-    if (name == "analytic")
-        return Engine::Analytic;
-    if (name == "sim")
-        return Engine::Sim;
-    return std::nullopt;
-}
-
 util::Status
 ExperimentConfig::validate() const
 {
@@ -162,13 +135,12 @@ ExperimentConfig::validate() const
 namespace {
 
 /**
- * The kernelized lane of run_one(): plain simulation (no fast path, no
- * raw-interval retention, no L2 collection) through the devirtualized
- * batch pipeline — templated run loop over BatchedObserver and
- * batched fetch.  The general body in run_one() serves every other
- * shape; the differential fuzzer (test_kernel_equivalence) runs one arm
- * through each and proves them byte-identical, and the single-core
- * golden digests pin both.
+ * The kernelized lane of run_one(): runs without raw-interval
+ * retention or L2 collection go through the devirtualized pipeline, a
+ * run loop templated over BatchedObserver.  The general body in
+ * run_one() serves every other shape; the differential fuzzer
+ * (test_kernel_equivalence) runs one arm through each and proves them
+ * byte-identical, and the single-core golden digests pin both.
  */
 ExperimentResult
 run_one_kernel(workload::Workload &workload, const ExperimentConfig &config)
@@ -218,23 +190,15 @@ run_one_kernel(workload::Workload &workload, const ExperimentConfig &config)
     return result;
 }
 
-/**
- * One full experiment over an already-positioned workload.
- * @param use_analytic arm the periodic fast path (the caller has
- *        verified eligibility); the run still completes as a plain
- *        simulation when no recurrence is proven.
- */
+/** One full experiment over an already-positioned workload. */
 ExperimentResult
-run_one(workload::Workload &workload, const ExperimentConfig &config,
-        bool use_analytic)
+run_one(workload::Workload &workload, const ExperimentConfig &config)
 {
-    // Plain simulation of the common collection shape takes the
-    // devirtualized kernel lane; everything else (fast-path runs,
-    // keep_raw, L2 collection) runs the general pipeline below,
+    // The common collection shape takes the devirtualized kernel lane;
+    // keep_raw and L2 collection run the general pipeline below,
     // byte-identical by construction.
-    if (!use_analytic && !config.keep_raw && !config.collect_l2) {
+    if (!config.keep_raw && !config.collect_l2)
         return run_one_kernel(workload, config);
-    }
 
     const auto wall_start = std::chrono::steady_clock::now();
     config.hierarchy.validate();
@@ -269,36 +233,7 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
     }
 
     cpu::InOrderCore core(config.core, &hierarchy, &workload, &listener);
-
-    std::optional<analytic::PeriodicFastPath> fastpath;
-    if (use_analytic) {
-        const auto profile = analytic::analyzable_profile(
-            workload, config.hierarchy, config.keep_raw);
-        LEAKBOUND_ASSERT(profile.has_value(),
-                         "fast path armed for an ineligible workload");
-        analytic::FastPathRefs refs;
-        refs.workload = &workload;
-        refs.core = &core;
-        refs.hierarchy = &hierarchy;
-        refs.icollector = &icollector;
-        refs.dcollector = &dcollector;
-        refs.l2collector = l2collector.get();
-        refs.imonitor = &listener.imonitor();
-        refs.dmonitor = &listener.dmonitor();
-        refs.stride = &stride;
-        refs.isink = &result.icache.intervals;
-        refs.dsink = &result.dcache.intervals;
-        refs.l2sink =
-            result.l2cache ? &result.l2cache->intervals : nullptr;
-        fastpath.emplace(refs, config.instructions,
-                         profile->period_instructions);
-        const cpu::CoreRunStats s1 =
-            core.run(config.instructions, fastpath->hook());
-        result.core = fastpath->finish(s1);
-        result.analytic = fastpath->committed();
-    } else {
-        result.core = core.run(config.instructions);
-    }
+    result.core = core.run(config.instructions);
 
     icollector.finalize(result.core.cycles);
     dcollector.finalize(result.core.cycles);
@@ -315,10 +250,6 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
     result.icache.stats = hierarchy.l1i().stats();
     result.dcache.stats = hierarchy.l1d().stats();
     result.l2 = hierarchy.l2().stats();
-    if (fastpath) {
-        fastpath->add_skipped(result.icache.stats, result.dcache.stats,
-                              result.l2);
-    }
     if (result.l2cache)
         result.l2cache->stats = result.l2;
     result.wall_seconds = std::chrono::duration<double>(
@@ -327,8 +258,7 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
 
     util::debug("experiment '", result.workload, "': ",
                 result.core.instructions, " instrs, ", result.core.cycles,
-                " cycles, ipc=", result.core.ipc(),
-                result.analytic ? " (analytic)" : "");
+                " cycles, ipc=", result.core.ipc());
     return result;
 }
 
@@ -344,29 +274,7 @@ run_experiment(workload::Workload &workload, const ExperimentConfig &config)
     if (config.core_count != 1 || !config.workload_mix.empty()) {
         return multicore::run_multicore_summary(workload.name(), config);
     }
-
-    const bool use_analytic =
-        config.engine != Engine::Sim &&
-        analytic::is_analyzable(workload, config.hierarchy,
-                                config.keep_raw);
-    ExperimentResult result = run_one(workload, config, use_analytic);
-
-#ifndef NDEBUG
-    // Debug builds promote the classifier from debug-checked to
-    // always-verified: every committed fast-path run is replayed as a
-    // plain simulation and the serialized payloads must match byte for
-    // byte.  Release builds trust the commit-time equality proof.
-    if (result.analytic) {
-        workload.reset();
-        const ExperimentResult reference =
-            run_one(workload, config, /*use_analytic=*/false);
-        LEAKBOUND_ASSERT(serialize_result(result) ==
-                             serialize_result(reference),
-                         "analytic fast path diverged from simulation on '",
-                         result.workload, "'");
-    }
-#endif
-    return result;
+    return run_one(workload, config);
 }
 
 std::vector<ExperimentResult>

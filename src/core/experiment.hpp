@@ -25,22 +25,12 @@
 namespace leakbound::core {
 
 /**
- * Which execution engine a run uses.  Auto routes each workload
- * through the analyzability classifier (src/analytic): eligible
- * workloads take the exact periodic fast path, everything else
- * simulates.  Analytic requests the fast path explicitly but still
- * falls back to simulation when the workload is ineligible or never
- * recurs — the fallback is silent and the results are byte-identical
- * either way, so no engine choice can change an exit code.  Sim forces
- * plain simulation.
+ * Every run simulates; Sim is the only engine.  Nothing reads
+ * ExperimentConfig::engine and fingerprints exclude it.  The enum and
+ * the field stay only because the perfbench harness still assigns
+ * Engine::Sim; the next change to that harness removes both.
  */
-enum class Engine : std::uint8_t { Auto, Analytic, Sim };
-
-/** Canonical lowercase name of @p engine ("auto", "analytic", "sim"). */
-const char *engine_name(Engine engine);
-
-/** Parse an engine name; nullopt on anything unrecognized. */
-std::optional<Engine> parse_engine(const std::string &name);
+enum class Engine : std::uint8_t { Sim };
 
 /**
  * Widest multicore configuration accepted anywhere (config validation,
@@ -109,14 +99,8 @@ struct ExperimentConfig
      * simulation produces.
      */
     bool ignore_interrupts = false;
-    /**
-     * Execution engine (see Engine).  Although analytic and simulated
-     * results are byte-identical by construction, the engine *is*
-     * fingerprinted into artifact-cache keys so entries produced by
-     * different engines never alias — a fast-path bug can then never
-     * poison the simulated cache population (and vice versa).
-     */
-    Engine engine = Engine::Auto;
+    /** Unused; see Engine. */
+    Engine engine = Engine::Sim;
     /**
      * Number of in-order cores sharing the L2 (src/multicore).  1 runs
      * the classic single-core engine; anything else (or a non-empty
@@ -179,14 +163,6 @@ struct ExperimentResult
      * either way).
      */
     bool from_cache = false;
-    /**
-     * Whether the analytic fast path actually committed a period skip
-     * for this run (reporting only, like from_cache; excluded from
-     * serialize_result because the contents are byte-identical to a
-     * plain simulation).  False for fallback runs even under
-     * Engine::Analytic.
-     */
-    bool analytic = false;
 
     ExperimentResult(CacheObservation ic, CacheObservation dc)
         : icache(std::move(ic)), dcache(std::move(dc))

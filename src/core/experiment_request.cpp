@@ -113,18 +113,6 @@ decode_experiment_request(const util::JsonValue &body,
             request.want_payload = value.bool_value();
             continue;
         }
-        if (key == "engine") {
-            if (!value.is_string())
-                return bad_request("'engine' must be a string");
-            const auto engine = parse_engine(value.string_value());
-            if (!engine) {
-                return bad_request("'engine' must be auto, analytic or "
-                                   "sim: '" +
-                                   value.string_value() + "'");
-            }
-            request.config.engine = *engine;
-            continue;
-        }
         if (key == "core_count") {
             if (!value.is_u64())
                 return bad_request("'core_count' must be a "

@@ -69,10 +69,8 @@ struct ExperimentRequest
  * 1000..@p max_instructions), "nl_lead_time" (u64 cycles),
  * "collect_l2" (bool), "standard_edges" (bool, default true: absorb
  * standard_extra_edges() so any stock policy can evaluate the result),
- * "extra_edges" (u64 array), "payload" (bool), "engine" ("auto" |
- * "analytic" | "sim"; results are byte-identical for every choice but
- * the engine is part of the dedup/cache key), "deadline_ms" (u64, 0 =
- * none; admission metadata, never part of the dedup key),
+ * "extra_edges" (u64 array), "payload" (bool), "deadline_ms" (u64,
+ * 0 = none; admission metadata, never part of the dedup key),
  * "core_count" (u64, 1..core::kMaxCoreCount; cores sharing the L2 —
  * values above 1 select the multicore engine and scale the
  * per-request budget check to instructions x core_count), and

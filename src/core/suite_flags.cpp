@@ -8,7 +8,6 @@
 #include <string>
 
 #include "core/artifact_cache.hpp"
-#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
 namespace leakbound::core {
@@ -55,13 +54,6 @@ register_suite_flags(util::Cli &cli, const SuiteFlagSpec &spec)
                      "report",
                      "1");
     }
-    if (spec.engine) {
-        cli.add_flag("engine",
-                     "execution engine: auto (analytic fast path where "
-                     "eligible), analytic, or sim; results are "
-                     "byte-identical for every choice",
-                     "auto");
-    }
 }
 
 unsigned
@@ -77,13 +69,6 @@ apply_suite_flags(ExperimentConfig &config, const util::Cli &cli)
     config.instructions = cli.get_u64("instructions");
     config.jobs = suite_jobs(cli);
     config.cache_dir = resolve_cache_dir(cli.get("cache-dir"));
-    const std::string engine = cli.get("engine");
-    const auto parsed = parse_engine(engine);
-    if (!parsed) {
-        util::fatal("--engine must be auto, analytic or sim (got \"",
-                    engine, "\")");
-    }
-    config.engine = *parsed;
 }
 
 } // namespace leakbound::core

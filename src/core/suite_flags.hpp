@@ -31,7 +31,6 @@ struct SuiteFlagSpec
     bool csv_dir = true;
     bool cache_dir = true;
     bool suite_passes = true;
-    bool engine = true;
     /** Default per-benchmark instruction budget. */
     std::uint64_t default_instructions = 4'000'000;
 };
@@ -46,10 +45,9 @@ void register_suite_flags(util::Cli &cli, const SuiteFlagSpec &spec = {});
 unsigned suite_jobs(const util::Cli &cli);
 
 /**
- * Apply --instructions, --jobs, --cache-dir and --engine to @p config
- * (cache-dir resolves through $LEAKBOUND_CACHE_DIR when the flag is
- * empty; a bad --engine value is fatal).  Requires those flags to be
- * registered.
+ * Apply --instructions, --jobs and --cache-dir to @p config (cache-dir
+ * resolves through $LEAKBOUND_CACHE_DIR when the flag is empty).
+ * Requires those flags to be registered.
  */
 void apply_suite_flags(ExperimentConfig &config, const util::Cli &cli);
 

@@ -64,14 +64,8 @@ InOrderCore::InOrderCore(const CoreConfig &config, sim::Hierarchy *hierarchy,
 CoreRunStats
 InOrderCore::run(std::uint64_t max_instructions)
 {
-    return run(max_instructions, GroupHook());
-}
-
-CoreRunStats
-InOrderCore::run(std::uint64_t max_instructions, const GroupHook &hook)
-{
     VirtualListener listener{listener_};
-    return run_loop<false>(max_instructions, hook, kNoCycleLimit, listener);
+    return run_loop<false>(max_instructions, kNoCycleLimit, listener);
 }
 
 } // namespace leakbound::cpu

@@ -17,9 +17,7 @@
  * the same loop through a thin adapter, and the multicore interleaver
  * steps it in bounded slices through run_until.  Instruction fetch
  * consumes from a small ring refilled via Workload::next_batch — one
- * virtual call per ring instead of one per µop — except while a
- * GroupHook is installed (the analytic fast path), where the workload
- * must never run ahead of the µop the core consumes next.
+ * virtual call per ring instead of one per µop.
  */
 
 #ifndef LEAKBOUND_CPU_INORDER_CORE_HPP
@@ -28,8 +26,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "sim/hierarchy.hpp"
 #include "trace/record.hpp"
@@ -119,23 +115,8 @@ class InOrderCore
                 workload::Workload *source,
                 AccessListener *listener = nullptr);
 
-    /**
-     * Observer called between fetch groups with the running stats
-     * (stats.cycles is kept current).  Returning false stops the run
-     * early; the instruction stream position is preserved, so a later
-     * run() continues exactly where this one stopped.  Only the
-     * analytic fast path installs one: it takes state signatures
-     * between groups, so a hooked run fetches unbatched.  Stopping at
-     * a cycle bound is run_until's job, with fetch still batched.
-     */
-    using GroupHook = std::function<bool(const CoreRunStats &)>;
-
     /** Execute up to @p max_instructions; returns run statistics. */
     CoreRunStats run(std::uint64_t max_instructions);
-
-    /** run() with a between-groups observer (see GroupHook). */
-    CoreRunStats run(std::uint64_t max_instructions,
-                     const GroupHook &hook);
 
     /**
      * run() with a concrete (non-virtual) listener: the kernel path.
@@ -148,8 +129,7 @@ class InOrderCore
     CoreRunStats
     run_with(std::uint64_t max_instructions, L &listener)
     {
-        return run_loop<false>(max_instructions, GroupHook(), kNoCycleLimit,
-                               listener);
+        return run_loop<false>(max_instructions, kNoCycleLimit, listener);
     }
 
     /** The cycle bound under which run_until never stops early. */
@@ -159,50 +139,20 @@ class InOrderCore
      * run_with() bounded in simulated time: the run also stops at the
      * first fetch-group boundary where cycle() >= @p limit.  The first
      * group always runs, even when @p limit <= cycle(), so every call
-     * makes progress.  Fetch stays batched and the stream position is
-     * preserved, so a chain of bounded calls is byte-identical to one
-     * unbounded run_with: same op stream, listener events, statistics
-     * and final cycle.  This is the multicore interleaver's step.
+     * makes progress.  The stream position is preserved, so a chain of
+     * bounded calls is byte-identical to one unbounded run_with: same
+     * op stream, listener events, statistics and final cycle.  This is
+     * the multicore interleaver's step.
      */
     template <typename L>
     CoreRunStats
     run_until(std::uint64_t max_instructions, Cycle limit, L &listener)
     {
-        return run_loop<true>(max_instructions, GroupHook(), limit,
-                              listener);
+        return run_loop<true>(max_instructions, limit, listener);
     }
 
     /** Current cycle (end-of-run timestamp after run()). */
     Cycle cycle() const { return cycle_; }
-
-    /**
-     * Advance the clock by @p delta without executing anything — the
-     * analytic fast path's time warp across skipped periods.
-     */
-    void warp_cycles(Cycles delta) { cycle_ += delta; }
-
-    /**
-     * Append the fetch stage's mutable state (the buffered lookahead
-     * instruction and any ring-buffered batch) to @p out — part of the
-     * analytic state signature.  Hooked runs never refill the ring, so
-     * in analytic signatures the ring contribution is a constant 0.
-     */
-    void
-    append_state(std::vector<std::uint64_t> &out) const
-    {
-        out.push_back(have_pending_ ? 1 : 0);
-        out.push_back(have_pending_ ? pending_.pc : 0);
-        out.push_back(have_pending_
-                          ? static_cast<std::uint64_t>(pending_.kind)
-                          : 0);
-        out.push_back(have_pending_ ? pending_.addr : 0);
-        out.push_back(ring_len_ - ring_pos_);
-        for (std::uint32_t i = ring_pos_; i < ring_len_; ++i) {
-            out.push_back(ring_[i].pc);
-            out.push_back(static_cast<std::uint64_t>(ring_[i].kind));
-            out.push_back(ring_[i].addr);
-        }
-    }
 
   private:
     /** Ops buffered per Workload::next_batch refill. */
@@ -210,43 +160,26 @@ class InOrderCore
 
     /**
      * Expose the next op without consuming it, or nullptr when the
-     * workload is exhausted.  The pointer aims into the fetch ring (or
-     * the pending slot) and stays valid until the next peek — consume()
-     * never moves data, so the run loop reads op fields in place
-     * instead of copying 24-byte MicroOps through a peek/fetch shuffle.
-     * Ring leftovers always drain first, so mixed batched/unbatched
-     * run() sequences still consume the stream in order; refills only
-     * happen here, and only while batching is active.
+     * workload is exhausted.  The pointer aims into the fetch ring and
+     * stays valid until the next peek — consume() never moves data, so
+     * the run loop reads op fields in place instead of copying 24-byte
+     * MicroOps through a peek/fetch shuffle.  The ring refills only
+     * here, once its leftovers have drained, so a chain of runs
+     * consumes the stream in order.
      */
     const trace::MicroOp *
     peek_ptr()
     {
-        if (have_pending_)
-            return &pending_;
         if (ring_pos_ < ring_len_)
             return &ring_[ring_pos_];
-        if (batch_active_) {
-            ring_len_ = static_cast<std::uint32_t>(
-                source_->next_batch(ring_.data(), kFetchRing));
-            ring_pos_ = 0;
-            return ring_len_ != 0 ? &ring_[0] : nullptr;
-        }
-        if (source_->next(pending_)) {
-            have_pending_ = true;
-            return &pending_;
-        }
-        return nullptr;
+        ring_len_ = static_cast<std::uint32_t>(
+            source_->next_batch(ring_.data(), kFetchRing));
+        ring_pos_ = 0;
+        return ring_len_ != 0 ? &ring_[0] : nullptr;
     }
 
     /** Consume the op peek_ptr() last returned. */
-    void
-    consume()
-    {
-        if (have_pending_)
-            have_pending_ = false;
-        else
-            ++ring_pos_;
-    }
+    void consume() { ++ring_pos_; }
 
     /**
      * The run loop, shared by every entry point.  @p Bounded compiles
@@ -255,15 +188,8 @@ class InOrderCore
      */
     template <bool Bounded, typename L>
     CoreRunStats
-    run_loop(std::uint64_t max_instructions, const GroupHook &hook,
-             Cycle limit, L &listener)
+    run_loop(std::uint64_t max_instructions, Cycle limit, L &listener)
     {
-        // A hooked run takes state signatures between groups; the
-        // workload must not be driven ahead of consumption, so the
-        // ring never refills (leftovers from an earlier batched run
-        // still drain, and the signature captures them).
-        batch_active_ = !hook;
-
         CoreRunStats stats;
         const Cycles l1i_hit = hierarchy_->config().l1i.hit_latency;
         const Cycles l1d_hit = hierarchy_->config().l1d.hit_latency;
@@ -350,11 +276,6 @@ class InOrderCore
                 if (cycle_ >= limit)
                     break;
             }
-            if (hook) {
-                stats.cycles = cycle_;
-                if (!hook(stats))
-                    break;
-            }
         }
 
         stats.cycles = cycle_;
@@ -367,13 +288,9 @@ class InOrderCore
     AccessListener *listener_;
     Cycle cycle_ = 0;
 
-    trace::MicroOp pending_{};
-    bool have_pending_ = false;
-
     std::array<trace::MicroOp, kFetchRing> ring_{};
     std::uint32_t ring_pos_ = 0;
     std::uint32_t ring_len_ = 0;
-    bool batch_active_ = false; ///< batching in force for the active run
 };
 
 } // namespace leakbound::cpu

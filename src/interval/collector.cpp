@@ -30,25 +30,6 @@ IntervalCollector::emit(const Interval &iv)
 }
 
 void
-IntervalCollector::append_state(std::vector<std::uint64_t> &out,
-                                Cycle now) const
-{
-    for (const FrameState &fs : frames_) {
-        out.push_back(fs.touched ? 1 : 0);
-        out.push_back(fs.touched ? now - fs.last_access : 0);
-    }
-}
-
-void
-IntervalCollector::warp(Cycles delta)
-{
-    LEAKBOUND_ASSERT(!finalized_, "warp after finalize()");
-    for (FrameState &fs : frames_)
-        if (fs.touched)
-            fs.last_access += delta;
-}
-
-void
 IntervalCollector::finalize(Cycle end_cycle)
 {
     LEAKBOUND_ASSERT(!finalized_, "finalize() called twice");

@@ -133,20 +133,6 @@ class IntervalCollector
     /** Raw intervals (empty unless keep_raw was requested). */
     const std::vector<Interval> &raw() const { return raw_; }
 
-    /**
-     * Append the per-frame state to @p out as ages relative to @p now
-     * (touched flag, now - last_access), so two snapshots taken at
-     * different absolute times compare equal iff the collectors would
-     * behave identically going forward.
-     */
-    void append_state(std::vector<std::uint64_t> &out, Cycle now) const;
-
-    /**
-     * Shift every touched frame's last access forward by @p delta —
-     * the analytic fast path's time warp across skipped periods.
-     */
-    void warp(Cycles delta);
-
     /** Accesses observed so far. */
     std::uint64_t num_accesses() const { return num_accesses_; }
 

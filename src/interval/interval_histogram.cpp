@@ -58,19 +58,6 @@ IntervalHistogramSet::merge(const IntervalHistogramSet &other)
 }
 
 void
-IntervalHistogramSet::add_scaled_diff(const IntervalHistogramSet &b,
-                                      const IntervalHistogramSet &a,
-                                      std::uint64_t k)
-{
-    LEAKBOUND_ASSERT(index_ == b.index_ || edges() == b.edges(),
-                     "scaled diff over different edges");
-    LEAKBOUND_ASSERT(index_ == a.index_ || edges() == a.edges(),
-                     "scaled diff over different edges");
-    for (std::size_t i = 0; i < hists_.size(); ++i)
-        hists_[i].add_scaled_diff(b.hists_[i], a.hists_[i], k);
-}
-
-void
 IntervalHistogramSet::set_run_info(std::uint64_t num_frames,
                                    Cycles total_cycles)
 {

@@ -66,16 +66,6 @@ class IntervalHistogramSet
     /** Merge a set with identical edges. */
     void merge(const IntervalHistogramSet &other);
 
-    /**
-     * Add @p k copies of the per-histogram difference (b - a) into this
-     * set: for every slot, `hist += k * (b.hist - a.hist)`.  Used by
-     * the analytic fast path to replay k detected periods at once; the
-     * run info (frames / cycles) is untouched — finalize overwrites it.
-     * @p b may alias `this`.
-     */
-    void add_scaled_diff(const IntervalHistogramSet &b,
-                         const IntervalHistogramSet &a, std::uint64_t k);
-
     /** Set denominator metadata (frames in the cache, run length). */
     void set_run_info(std::uint64_t num_frames, Cycles total_cycles);
 

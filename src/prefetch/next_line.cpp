@@ -84,15 +84,6 @@ NextLineMonitor::append_state(std::vector<std::uint64_t> &out,
 }
 
 void
-NextLineMonitor::warp(Cycles delta)
-{
-    for (Page &stamps : pages_)
-        for (std::uint64_t &stamp : stamps)
-            if (stamp != 0)
-                stamp += delta;
-}
-
-void
 NextLineMonitor::reset()
 {
     pages_.clear();

@@ -94,17 +94,12 @@ class NextLineMonitor
 
     /**
      * Append the table as (block, now - last_access) pairs sorted by
-     * block — a canonical, translation-invariant snapshot for the
-     * analytic state signature.  The covered() counter is excluded
-     * (reporting only; it never influences future coverage answers).
+     * block: a canonical snapshot, independent of page layout, that the
+     * next-line lockstep test compares with its per-block oracle.  The
+     * covered() counter is excluded (reporting only; it never
+     * influences future coverage answers).
      */
     void append_state(std::vector<std::uint64_t> &out, Cycle now) const;
-
-    /**
-     * Shift every recorded access time forward by @p delta — the
-     * analytic fast path's time warp across skipped periods.
-     */
-    void warp(Cycles delta);
 
   private:
     static constexpr unsigned kPageShift = 6;

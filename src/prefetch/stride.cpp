@@ -5,8 +5,6 @@
 
 #include "prefetch/stride.hpp"
 
-#include <algorithm>
-
 #include "util/logging.hpp"
 
 namespace leakbound::prefetch {
@@ -23,29 +21,6 @@ StridePredictor::StridePredictor(const StrideConfig &config)
             (config_.table_entries & (config_.table_entries - 1)) == 0,
             "stride table entries must be a power of two");
         table_.resize(config_.table_entries);
-    }
-}
-
-void
-StridePredictor::append_state(std::vector<std::uint64_t> &out) const
-{
-    // Bounded tables have a fixed layout; the unbounded table's order
-    // is the (deterministic) first-touch order of the PCs, so the raw
-    // layout is already canonical for a deterministic stream.
-    out.push_back(table_.size());
-    for (const Entry &e : table_) {
-        out.push_back(e.valid ? 1 : 0);
-        out.push_back(e.tag);
-        out.push_back(e.last_addr);
-        out.push_back(static_cast<std::uint64_t>(e.stride));
-        // Confidence influences behavior only through the
-        // `confidence >= confirmations` test (a repeat increments, a
-        // break resets to 1 regardless of the old value), so values at
-        // or above the threshold are behaviorally interchangeable.
-        // Clamping keeps a steadily-confirming entry from aging the
-        // signature apart forever.
-        out.push_back(std::min<std::uint64_t>(e.confidence,
-                                              config_.confirmations));
     }
 }
 

@@ -95,14 +95,6 @@ class StridePredictor
     /** Forget everything. */
     void reset();
 
-    /**
-     * Append the raw table (tags, last addresses, strides, confidence)
-     * to @p out for the analytic state signature.  The table holds no
-     * timestamps, so no age translation or warp is needed; the
-     * covered()/observed() counters are excluded (reporting only).
-     */
-    void append_state(std::vector<std::uint64_t> &out) const;
-
   private:
     struct Entry
     {

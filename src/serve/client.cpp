@@ -75,8 +75,6 @@ build_run_request(const RunRequest &request)
     }
     if (request.want_payload)
         w.key("payload").value(true);
-    if (request.engine != "auto")
-        w.key("engine").value(request.engine);
     if (request.deadline_ms != 0)
         w.key("deadline_ms").value(request.deadline_ms);
     if (request.core_count != 1)

@@ -59,9 +59,6 @@ struct RunRequest
     bool standard_edges = true;
     std::vector<std::uint64_t> extra_edges;
     bool want_payload = false;
-    /** Execution engine ("auto" | "analytic" | "sim"); "auto" is the
-     *  server default and is omitted from the wire request. */
-    std::string engine = "auto";
     /**
      * Completion deadline hint in milliseconds (0 = none).  The server
      * sheds the request with Overloaded when its backlog model says

@@ -72,7 +72,7 @@ main(int argc, char **argv)
     spec.csv_dir = false;
     spec.suite_passes = false;
     spec.default_instructions = 200'000;
-    core::register_suite_flags(cli, spec); // --instructions, --json, --engine
+    core::register_suite_flags(cli, spec); // --instructions, --json
     cli.add_flag("socket", "unix-domain socket of the daemon",
                  "leakboundd.sock");
     cli.add_flag("tcp-host", "TCP address of the daemon", "127.0.0.1");
@@ -157,10 +157,6 @@ main(int argc, char **argv)
     request.nl_lead_time = cli.get_u64("nl-lead-time");
     request.collect_l2 = cli.get_bool("collect-l2");
     request.want_payload = cli.get_bool("payload");
-    request.engine = cli.get("engine");
-    if (!core::parse_engine(request.engine))
-        util::fatal("--engine must be auto, analytic or sim (got \"",
-                    request.engine, "\")");
     request.deadline_ms = cli.get_u64("deadline-ms");
     request.core_count =
         static_cast<std::uint32_t>(cli.get_u64("core-count"));

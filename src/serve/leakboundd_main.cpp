@@ -75,7 +75,6 @@ main(int argc, char **argv)
     spec.json = false;
     spec.csv_dir = false;
     spec.suite_passes = false;
-    spec.engine = false; // engine comes per request too
     core::register_suite_flags(cli, spec); // --jobs, --cache-dir
     cli.add_flag("socket", "unix-domain socket path to listen on",
                  "leakboundd.sock");

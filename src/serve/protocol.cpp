@@ -204,7 +204,6 @@ write_stats_fields(util::JsonWriter &w, const StatsSnapshot &stats)
     w.key("response_lru_entries").value(stats.response_lru_entries);
     w.key("response_lru_bytes").value(stats.response_lru_bytes);
     w.key("cache_hits").value(stats.cache_hits);
-    w.key("analytic_runs").value(stats.analytic_runs);
     w.key("sim_runs").value(stats.sim_runs);
     w.key("rejected_overloaded").value(stats.rejected_overloaded);
     w.key("rejected_deadline").value(stats.rejected_deadline);
@@ -285,7 +284,6 @@ render_run_response(const core::SuiteOutcome &outcome,
         w.key("cycles").value(run.core.cycles);
         w.key("ipc").value(run.core.ipc());
         w.key("from_cache").value(run.from_cache);
-        w.key("engine").value(run.analytic ? "analytic" : "sim");
         w.key("result_fnv")
             .value(util::hex64(util::fnv1a(bytes.data(), bytes.size())));
         if (request.want_payload)

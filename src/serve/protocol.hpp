@@ -100,7 +100,6 @@ struct StatsSnapshot
     std::uint64_t response_lru_entries = 0;   ///< instantaneous LRU size
     std::uint64_t response_lru_bytes = 0;     ///< instantaneous LRU bytes
     std::uint64_t cache_hits = 0;        ///< benchmarks loaded, not simulated
-    std::uint64_t analytic_runs = 0;     ///< benchmarks the fast path skipped
     std::uint64_t sim_runs = 0;          ///< benchmarks simulated end to end
     std::uint64_t rejected_overloaded = 0;
     std::uint64_t rejected_deadline = 0; ///< shed: deadline unmeetable

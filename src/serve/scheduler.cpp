@@ -273,24 +273,18 @@ Scheduler::execute(const core::ExperimentRequest &request,
             request.benchmarks, config, config_.before_job);
 
         std::uint64_t loaded = 0;
-        std::uint64_t analytic = 0;
         std::uint64_t simulated = 0;
         for (const auto &slot : outcome.slots) {
             if (!slot)
                 continue;
-            if (slot->from_cache) {
+            if (slot->from_cache)
                 ++loaded;
-                continue;
-            }
-            if (slot->analytic)
-                ++analytic;
             else
                 ++simulated;
         }
         {
             std::lock_guard<std::mutex> lock(mutex_);
             counters_.cache_hits += loaded;
-            counters_.analytic_runs += analytic;
             counters_.sim_runs += simulated;
             // Crash hygiene: a shard that SIGKILLed mid-store leaves a
             // stale .lock behind; the breaker count surfacing here is

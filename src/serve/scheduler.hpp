@@ -103,7 +103,6 @@ struct SchedulerCounters
     std::uint64_t response_lru_hits = 0; ///< answered from the response LRU
     std::uint64_t response_lru_evictions = 0; ///< entries pushed out by budget
     std::uint64_t cache_hits = 0;   ///< benchmarks loaded from the cache
-    std::uint64_t analytic_runs = 0; ///< benchmarks the fast path skipped
     std::uint64_t sim_runs = 0;     ///< benchmarks simulated end to end
     std::uint64_t simulations = 0;  ///< suite runs actually executed
     std::uint64_t rejected_overloaded = 0; ///< queue-bound rejections

@@ -618,7 +618,6 @@ Server::stats() const
     snapshot.response_lru_entries = counters.response_lru_entries;
     snapshot.response_lru_bytes = counters.response_lru_bytes;
     snapshot.cache_hits = counters.cache_hits;
-    snapshot.analytic_runs = counters.analytic_runs;
     snapshot.sim_runs = counters.sim_runs;
     snapshot.rejected_overloaded = counters.rejected_overloaded;
     snapshot.rejected_deadline = counters.rejected_deadline;

@@ -111,7 +111,6 @@ constexpr U64Field kU64Fields[] = {
     {"response_lru_entries", &StatsSnapshot::response_lru_entries},
     {"response_lru_bytes", &StatsSnapshot::response_lru_bytes},
     {"cache_hits", &StatsSnapshot::cache_hits},
-    {"analytic_runs", &StatsSnapshot::analytic_runs},
     {"sim_runs", &StatsSnapshot::sim_runs},
     {"rejected_overloaded", &StatsSnapshot::rejected_overloaded},
     {"rejected_deadline", &StatsSnapshot::rejected_deadline},

@@ -118,7 +118,9 @@ class Cache
      * the replacement policy is not snapshot-able (Random).
      * Statistics are excluded — they never influence future behaviour
      * — and so are absolute stamp values: two caches whose sets order
-     * their ways alike make identical decisions forever.
+     * their ways alike make identical decisions forever.  The
+     * bare-cache lockstep test compares this snapshot with the
+     * reference policies' after every access.
      */
     bool append_state(std::vector<std::uint64_t> &out) const;
 

@@ -38,23 +38,6 @@ Histogram::merge(const Histogram &other)
     }
 }
 
-void
-Histogram::add_scaled_diff(const Histogram &b, const Histogram &a,
-                           std::uint64_t k)
-{
-    LEAKBOUND_ASSERT(index_ == b.index_ || edges() == b.edges(),
-                     "scaled diff over different edges");
-    LEAKBOUND_ASSERT(index_ == a.index_ || edges() == a.edges(),
-                     "scaled diff over different edges");
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-        // Read both operands before writing: b may alias *this.
-        const std::uint64_t dcount = b.bins_[i].count - a.bins_[i].count;
-        const std::uint64_t dsum = b.bins_[i].sum - a.bins_[i].sum;
-        bins_[i].count += k * dcount;
-        bins_[i].sum += k * dsum;
-    }
-}
-
 std::uint64_t
 Histogram::lower_edge(std::size_t i) const
 {

@@ -75,16 +75,6 @@ class Histogram
     /** Merge a histogram with identical edges into this one. */
     void merge(const Histogram &other);
 
-    /**
-     * Add @p k copies of the per-bin difference (b - a) into this
-     * histogram: `bins += k * (b.bins - a.bins)`.  All three histograms
-     * must share one edge list, and @p b must dominate @p a bin-wise
-     * (b grew out of a by adding samples).  @p b may alias `this` —
-     * each bin is updated independently.
-     */
-    void add_scaled_diff(const Histogram &b, const Histogram &a,
-                         std::uint64_t k);
-
     /** Number of bins, including the overflow bin. */
     std::size_t num_bins() const { return bins_.size(); }
 

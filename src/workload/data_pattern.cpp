@@ -6,6 +6,7 @@
 #include "workload/data_pattern.hpp"
 
 #include <numeric>
+#include <vector>
 
 #include "util/logging.hpp"
 
@@ -39,13 +40,6 @@ class SequentialPattern final : public DataPattern
     {
         for (std::size_t i = 0; i < n; ++i)
             out[i] = next(); // devirtualized: final class
-    }
-
-    bool
-    append_state(std::vector<std::uint64_t> &out) const override
-    {
-        out.push_back(offset_);
-        return true;
     }
 
   private:
@@ -95,14 +89,6 @@ class StridedPattern final : public DataPattern
     {
         for (std::size_t i = 0; i < n; ++i)
             out[i] = next(); // devirtualized: final class
-    }
-
-    bool
-    append_state(std::vector<std::uint64_t> &out) const override
-    {
-        out.push_back(index_);
-        out.push_back(phase_);
-        return true;
     }
 
   private:
@@ -185,13 +171,6 @@ class PointerChasePattern final : public DataPattern
     {
         for (std::size_t i = 0; i < n; ++i)
             out[i] = next(); // devirtualized: final class
-    }
-
-    bool
-    append_state(std::vector<std::uint64_t> &out) const override
-    {
-        out.push_back(current_);
-        return true;
     }
 
   private:

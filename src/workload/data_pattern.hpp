@@ -21,7 +21,6 @@
 #define LEAKBOUND_WORKLOAD_DATA_PATTERN_HPP
 
 #include <memory>
-#include <vector>
 
 #include "util/random.hpp"
 #include "util/types.hpp"
@@ -53,20 +52,6 @@ class DataPattern
 
     /** Restart the stream deterministically. */
     virtual void reset() = 0;
-
-    /**
-     * Append the pattern's mutable position to @p out and return true
-     * when the pattern is deterministically periodic (the next address
-     * is a pure function of the appended words).  Patterns that draw
-     * from an RNG return false and append nothing; the analytic fast
-     * path then falls back to plain simulation.
-     */
-    virtual bool
-    append_state(std::vector<std::uint64_t> &out) const
-    {
-        (void)out;
-        return false;
-    }
 };
 
 /** Owning pattern handle. */

@@ -268,73 +268,4 @@ LoopProgram::reset()
     start_run();
 }
 
-bool
-LoopProgram::node_constant_trips(const FlatNode &node) const
-{
-    if (node.kind == NodeSpec::Kind::Block)
-        return true;
-    if (node.min_trips != node.max_trips)
-        return false;
-    for (const FlatNode &child : node.body)
-        if (!node_constant_trips(child))
-            return false;
-    return true;
-}
-
-std::uint64_t
-LoopProgram::node_instrs(const FlatNode &node) const
-{
-    if (node.kind == NodeSpec::Kind::Block)
-        return blocks_[node.block_index].kinds.size();
-    // A zero-trip loop is skipped entirely: no body, no latch (next()
-    // still consumes one RNG draw, which is why the draw must be a
-    // constant for the profile to hold).
-    const std::uint64_t trips = node.min_trips;
-    if (trips == 0)
-        return 0;
-    std::uint64_t body = 0;
-    for (const FlatNode &child : node.body)
-        body += node_instrs(child);
-    return trips * (body + kLatchInstrs);
-}
-
-std::optional<AnalyticProfile>
-LoopProgram::analytic_profile() const
-{
-    for (const FlatNode &node : top_)
-        if (!node_constant_trips(node))
-            return std::nullopt;
-    std::vector<std::uint64_t> scratch;
-    for (const auto &p : patterns_)
-        if (!p->append_state(scratch))
-            return std::nullopt;
-
-    AnalyticProfile profile;
-    profile.period_instructions = kLatchInstrs; // the top-level latch
-    for (const FlatNode &node : top_)
-        profile.period_instructions += node_instrs(node);
-    return profile;
-}
-
-bool
-LoopProgram::append_state(std::vector<std::uint64_t> &out) const
-{
-    constexpr std::uint64_t kNone = ~static_cast<std::uint64_t>(0);
-
-    out.push_back(stack_.size());
-    for (const Frame &frame : stack_) {
-        out.push_back(frame.loop ? frame.loop->latch_pc : kNone);
-        out.push_back(frame.trips_left);
-        out.push_back(frame.pos);
-    }
-    out.push_back(cur_block_ ? cur_block_->base_pc : kNone);
-    out.push_back(instr_idx_);
-    out.push_back(latch_pc_);
-    out.push_back(latch_idx_);
-    for (const auto &p : patterns_)
-        if (!p->append_state(out))
-            return false;
-    return true;
-}
-
 } // namespace leakbound::workload

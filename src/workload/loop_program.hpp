@@ -74,22 +74,6 @@ class LoopProgram final : public Workload
     std::size_t next_batch(trace::MicroOp *out, std::size_t max) override;
     void reset() override;
 
-    /**
-     * A profile when every loop has a constant trip count
-     * (min == max) and every referenced pattern is deterministically
-     * periodic; the period is the instruction count of one top-level
-     * pass (blocks + latches, counted loops expanded).
-     */
-    std::optional<AnalyticProfile> analytic_profile() const override;
-
-    /**
-     * Interpreter state: stack frames, current block position, latch
-     * progress, and each pattern's position.  The run RNG is excluded —
-     * analytic_profile() only claims workloads whose trip draws are
-     * constants, so the RNG never influences the stream.
-     */
-    bool append_state(std::vector<std::uint64_t> &out) const override;
-
     /** Static code footprint in bytes (blocks + loop latches). */
     std::uint64_t code_bytes() const { return code_bytes_; }
 
@@ -131,12 +115,6 @@ class LoopProgram final : public Workload
                      util::Rng &layout_rng);
     void start_run();
     const std::vector<FlatNode> &body_of(const Frame &frame) const;
-
-    /** All loops under @p node (inclusive) have min == max trips. */
-    bool node_constant_trips(const FlatNode &node) const;
-
-    /** Instructions one execution of @p node emits (constant trips). */
-    std::uint64_t node_instrs(const FlatNode &node) const;
 
     std::string name_;
     Pc code_base_;

@@ -345,17 +345,13 @@ make_vortex(std::uint64_t seed)
 
 /**
  * stream: a STREAM-like copy/scale/add kernel.  Constant trip counts
- * and purely sequential data patterns make it exactly periodic — the
- * analytic engine's bread-and-butter case.  Pattern cycles are short
- * powers of two so the full system state recurs within a few top-level
- * passes.
+ * and purely sequential data patterns make it exactly periodic, with
+ * pattern cycles of short powers of two.
  */
 WorkloadPtr
 make_stream(std::uint64_t seed)
 {
-    // Pattern cycles are 16 accesses (128B regions): the full system
-    // state then recurs within ~16 checkpoint periods, so the fast
-    // path commits early even under modest instruction budgets.
+    // Pattern cycles are 16 accesses (128B regions).
     std::vector<DataPatternPtr> patterns;
     patterns.push_back(make_sequential(heap(0), 128, 8)); // 0 src a
     patterns.push_back(make_sequential(heap(1), 128, 8)); // 1 src b
@@ -385,8 +381,7 @@ WorkloadPtr
 make_stencil(std::uint64_t seed)
 {
     // A strided walk visits every element once per full cycle, so the
-    // cycle length IS the element count; short power-of-two cycles
-    // (16/32/32/16 accesses) keep the state recurrence quick.  The
+    // cycle length IS the element count (16/32/32/16 accesses).  The
     // "planes" walk uses 512-byte elements with an 8-element stride, so
     // each reference still hops 4KB — whole-way set aliasing — while
     // cycling in 32 accesses.
@@ -412,14 +407,14 @@ make_stencil(std::uint64_t seed)
 /**
  * chase: linked-list traversal over fixed permutation cycles.  The
  * chase order is random but frozen at construction, so the stream is
- * still exactly periodic — the least cache-friendly workload the
- * analytic engine still claims.
+ * still exactly periodic, and it is the least cache-friendly of the
+ * three extras.
  */
 WorkloadPtr
 make_chase(std::uint64_t seed)
 {
     // 32- and 16-node cycles: irregular within the period, exactly
-    // periodic across it, and quick to recur.
+    // periodic across it.
     std::vector<DataPatternPtr> patterns;
     patterns.push_back(make_pointer_chase(heap(0), 32, 64, seed ^ 1)); // 0
     patterns.push_back(make_pointer_chase(heap(1), 16, 128, seed ^ 2)); // 1
@@ -437,10 +432,10 @@ make_chase(std::uint64_t seed)
         "chase", kCodeBase, std::move(body), std::move(patterns), seed);
 }
 
-/** The analytically-eligible extras: servable via make_benchmark but
- *  kept out of suite_names() so stock suite reports are unchanged. */
+/** The synthetic extras: servable via make_benchmark but kept out of
+ *  suite_names() so stock suite reports are unchanged. */
 const std::vector<std::string> &
-analytic_names()
+synthetic_extra_names()
 {
     static const std::vector<std::string> names = {"stream", "stencil",
                                                    "chase"};
@@ -463,7 +458,7 @@ is_benchmark(const std::string &name)
     const auto &names = suite_names();
     if (std::find(names.begin(), names.end(), name) != names.end())
         return true;
-    const auto &extras = analytic_names();
+    const auto &extras = synthetic_extra_names();
     return std::find(extras.begin(), extras.end(), name) != extras.end();
 }
 

@@ -20,12 +20,12 @@
  *   gzip   : INT; tiny hot loops + buffer streaming — next-line
  *            heaven in the D-cache, trivial I-cache
  *
- * Three analytically-eligible extras — stream, stencil, chase — have
- * constant trip counts and deterministic data patterns, so the
- * analytic engine (src/analytic) can prove their periodicity and skip
- * ahead.  They are accepted by make_benchmark()/is_benchmark() but are
- * NOT in suite_names(): stock suite reports (and the committed bench
- * JSONs built from them) are unchanged.
+ * Three synthetic extras — stream, stencil, chase — are exactly
+ * periodic loop nests (constant trip counts, deterministic data
+ * patterns) that the multicore sweep mixes.  They are accepted by
+ * make_benchmark()/is_benchmark() but are NOT in suite_names(): stock
+ * suite reports (and the committed bench JSONs built from them) are
+ * unchanged.
  */
 
 #ifndef LEAKBOUND_WORKLOAD_SPEC_SUITE_HPP
@@ -43,7 +43,7 @@ const std::vector<std::string> &suite_names();
 
 /**
  * Build a benchmark by name ("ammp", "applu", "gcc", "gzip", "mesa",
- * "vortex", or the analytic extras "stream", "stencil", "chase");
+ * "vortex", or the synthetic extras "stream", "stencil", "chase");
  * fatal() on unknown names.
  * @param seed 0 selects the benchmark's default seed.
  */

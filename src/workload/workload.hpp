@@ -10,29 +10,12 @@
 #define LEAKBOUND_WORKLOAD_WORKLOAD_HPP
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "trace/record.hpp"
 
 namespace leakbound::workload {
-
-/**
- * Static facts about a workload that make it eligible for the analytic
- * fast path (src/analytic): the instruction stream is a deterministic,
- * eventually-periodic function of a finite mutable state that the
- * workload can expose via append_state().
- */
-struct AnalyticProfile
-{
-    /**
-     * Structural period of the endless top-level loop, in emitted
-     * instructions.  State recurrence is only *likely* at multiples of
-     * this; the fast path verifies full state equality before acting.
-     */
-    std::uint64_t period_instructions = 0;
-};
 
 /** A generator of dynamic instructions. */
 class Workload
@@ -70,33 +53,6 @@ class Workload
 
     /** Restart the stream deterministically from the beginning. */
     virtual void reset() = 0;
-
-    /**
-     * The workload's analytic profile, or nullopt when the stream is
-     * not a deterministic function of exposable finite state (random
-     * trip counts, RNG-driven data patterns, phase interleaving...).
-     * Returning a profile is a *claim of determinism* the analytic
-     * engine relies on — append_state() must then capture everything
-     * the future stream depends on.
-     */
-    virtual std::optional<AnalyticProfile>
-    analytic_profile() const
-    {
-        return std::nullopt;
-    }
-
-    /**
-     * Append the workload's full mutable state to @p out; @return false
-     * (appending nothing useful) when the workload does not support
-     * analytic snapshots.  Must return true whenever analytic_profile()
-     * returns a profile.
-     */
-    virtual bool
-    append_state(std::vector<std::uint64_t> &out) const
-    {
-        (void)out;
-        return false;
-    }
 };
 
 /** Owning workload handle. */

@@ -6,7 +6,7 @@
  * was paged.
  *
  * The paged monitor must agree with it on every covers() answer, on
- * covered() and on append_state(), through record, warp and reset
+ * covered() and on append_state(), through record and reset
  * (test_kernel_equivalence).
  */
 
@@ -78,17 +78,6 @@ class ReferenceNextLine
             out.push_back(block);
             out.push_back(age);
         }
-    }
-
-    void
-    warp(Cycles delta)
-    {
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-        last_access_.for_each([&](std::uint64_t block, std::uint64_t when) {
-            entries.emplace_back(block, when + delta);
-        });
-        for (const auto &[block, when] : entries)
-            last_access_.put(block, when);
     }
 
   private:

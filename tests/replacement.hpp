@@ -44,8 +44,8 @@ class ReplacementPolicy
     /**
      * Append a canonical snapshot of the policy's decision state to
      * @p out; @return false when the policy's future decisions are not
-     * a pure function of appendable state (Random draws an RNG), which
-     * disqualifies a cache from the analytic fast path.  Stamp-based
+     * a pure function of appendable state (Random draws an RNG), as
+     * sim::Cache::append_state does.  Stamp-based
      * policies append per-set way permutations in recency-rank order:
      * absolute stamp values are irrelevant, only their order decides
      * victims.

@@ -2,11 +2,11 @@
 # End-to-end smoke of the experiment service: start leakboundd on a
 # temp unix socket, round-trip a run request twice (cold then warm —
 # the warm one must be answered from the rendered-response LRU with
-# the cold render's exact bytes), then two *cold* engine-pinned
-# requests (--engine analytic vs sim) that must digest identically,
-# check /stats (including exact response_lru_hits accounting), then
-# SIGTERM and require a clean drain (exit 0, socket removed).  Invoked
-# by CTest as: serve_smoke.sh <leakboundd> <leakbound-client>.
+# the cold render's exact bytes), then a cold request for a synthetic
+# extra, check /stats (exact sim_runs and response_lru_hits
+# accounting), then SIGTERM and require a clean drain (exit 0, socket
+# removed).  Invoked by CTest as: serve_smoke.sh <leakboundd>
+# <leakbound-client>.
 #
 # The daemon is launched directly (never inside a compound command) so
 # $! is the daemon's own PID and the TERM we send exercises *its*
@@ -70,53 +70,28 @@ if ! cmp -s "$DIR/run1.json" "$DIR/run2.json"; then
     exit 1
 fi
 
-# Cold engine split: the same analyzable benchmark under --engine
-# analytic and --engine sim fingerprints to distinct cache entries
-# (both requests are cold) yet the simulation payloads must be
-# byte-identical — the fast path is exact, not approximate.
+# A synthetic extra simulates like any paper benchmark: cold, it is
+# neither a cache load nor an LRU hit.
 "$CLIENT" --socket "$SOCK" --benchmarks stream --instructions 200000 \
-    --engine analytic >"$DIR/run3.json"
-"$CLIENT" --socket "$SOCK" --benchmarks stream --instructions 200000 \
-    --engine sim >"$DIR/run4.json"
-fnv3=$(grep -o '"result_fnv": "[0-9a-f]*"' "$DIR/run3.json")
-fnv4=$(grep -o '"result_fnv": "[0-9a-f]*"' "$DIR/run4.json")
-if [ -z "$fnv3" ] || [ "$fnv3" != "$fnv4" ]; then
-    echo "serve_smoke: analytic cold digest differs from sim" >&2
-    echo "analytic: $fnv3" >&2
-    echo "sim:      $fnv4" >&2
-    exit 1
-fi
-for f in run3 run4; do
-    grep -q '"from_cache": true' "$DIR/$f.json" && {
-        echo "serve_smoke: engine request $f was not cold" >&2
-        cat "$DIR/$f.json" >&2
-        exit 1
-    }
-done
-grep -q '"engine": "analytic"' "$DIR/run3.json" || {
-    echo "serve_smoke: analytic request did not commit" >&2
+    >"$DIR/run3.json"
+grep -q '"from_cache": false' "$DIR/run3.json" || {
+    echo "serve_smoke: stream request was not simulated cold" >&2
     cat "$DIR/run3.json" >&2
-    exit 1
-}
-grep -q '"engine": "sim"' "$DIR/run4.json" || {
-    echo "serve_smoke: sim request not reported as sim" >&2
-    cat "$DIR/run4.json" >&2
     exit 1
 }
 
 "$CLIENT" --socket "$SOCK" --stats >"$DIR/stats.json"
-grep -q '"requests_served": 4' "$DIR/stats.json" || {
-    echo "serve_smoke: stats did not count all four runs" >&2
+grep -q '"requests_served": 3' "$DIR/stats.json" || {
+    echo "serve_smoke: stats did not count all three runs" >&2
     cat "$DIR/stats.json" >&2
     exit 1
 }
-grep -q '"analytic_runs": 1' "$DIR/stats.json" || {
-    echo "serve_smoke: stats did not count the analytic run" >&2
+grep -q '"sim_runs": 2' "$DIR/stats.json" || {
+    echo "serve_smoke: stats did not count both cold simulations" >&2
     cat "$DIR/stats.json" >&2
     exit 1
 }
-# Exactly one LRU hit (the warm gzip rerun); the engine-pinned pair
-# fingerprints apart and must not alias into it.
+# Exactly one LRU hit (the warm gzip rerun).
 grep -q '"response_lru_hits": 1' "$DIR/stats.json" || {
     echo "serve_smoke: stats did not show exactly one response-LRU" \
          "hit" >&2

@@ -2,9 +2,9 @@
  * @file
  * End-to-end integration tests: a full workload -> core -> hierarchy
  * -> interval pipeline, checking global invariants (frame-time
- * conservation, histogram/raw equivalence on live data, determinism)
- * and the paper-level orderings on a real benchmark, plus the
- * generalized model facade.
+ * conservation, histogram/raw equivalence on live data, determinism,
+ * LRU inclusion across associativities) and the paper-level orderings
+ * on a real benchmark, plus the generalized model facade.
  */
 
 #include <gtest/gtest.h>
@@ -267,5 +267,35 @@ TEST(Experiment, RunSuiteCoversAllBenchmarks)
     for (const auto &r : results) {
         EXPECT_EQ(r.core.instructions, 50'000u);
         EXPECT_GT(r.core.cycles, 0u);
+    }
+}
+
+TEST(Experiment, MissesMonotoneInAssociativity)
+{
+    // Fixed set count, growing ways: LRU's inclusion property says the
+    // bigger cache's contents are a superset at every access, so both
+    // L1 miss counts are non-increasing.
+    for (const char *name : {"stream", "stencil", "chase"}) {
+        std::uint64_t prev_imisses = ~0ull;
+        std::uint64_t prev_dmisses = ~0ull;
+        for (std::uint32_t ways : {1u, 2u, 4u, 8u}) {
+            ExperimentConfig config;
+            config.instructions = 200'000;
+            // 64 sets x 64B lines, per-way size scaling with ways.
+            for (sim::CacheConfig *level :
+                 {&config.hierarchy.l1i, &config.hierarchy.l1d}) {
+                level->line_bytes = 64;
+                level->associativity = ways;
+                level->size_bytes = 64ull * 64 * ways;
+            }
+            auto w = workload::make_benchmark(name);
+            const ExperimentResult run = run_experiment(*w, config);
+            EXPECT_LE(run.icache.stats.misses, prev_imisses)
+                << name << " ways=" << ways;
+            EXPECT_LE(run.dcache.stats.misses, prev_dmisses)
+                << name << " ways=" << ways;
+            prev_imisses = run.icache.stats.misses;
+            prev_dmisses = run.dcache.stats.misses;
+        }
     }
 }

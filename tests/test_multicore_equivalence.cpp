@@ -58,14 +58,13 @@ using namespace leakbound;
 
 namespace {
 
-/** A small, fast config (no cache, engine pinned to simulation). */
+/** A small, fast config (no artifact cache). */
 core::ExperimentConfig
 small_config(std::uint64_t instructions = 120'000)
 {
     core::ExperimentConfig config;
     config.instructions = instructions;
     config.extra_edges = core::standard_extra_edges();
-    config.engine = core::Engine::Sim;
     return config;
 }
 

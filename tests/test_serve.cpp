@@ -161,6 +161,7 @@ TEST(DecodeRequest, RejectsBadInputWithInvalidArgument)
         R"({"type":"run","benchmarks":["gzip"],"extra_edges":[-1]})",
         R"({"type":"run","benchmarks":["gzip"],"engine":"warp"})",
         R"({"type":"run","benchmarks":["gzip"],"engine":1})",
+        R"({"type":"run","benchmarks":["gzip"],"engine":"sim"})", // no such key
     };
     for (const char *text : cases) {
         auto parsed = util::json_parse(text);
@@ -203,13 +204,6 @@ TEST(DecodeRequest, FingerprintSeparatesWhatMustNotShareResponses)
     stamped.config.ignore_interrupts = true;
     EXPECT_EQ(core::fingerprint_request(plain),
               core::fingerprint_request(stamped));
-    // Engines key cache entries apart: analytic and simulated results
-    // are byte-identical by construction, but letting them alias would
-    // make a fast-path bug silently poison the sim engine's cache.
-    core::ExperimentRequest pinned = small_request(false);
-    pinned.config.engine = core::Engine::Sim;
-    EXPECT_NE(core::fingerprint_request(plain),
-              core::fingerprint_request(pinned));
 }
 
 // -------------------------------------------------------------- scheduler
@@ -458,36 +452,6 @@ TEST(ResponseLru, ZeroBudgetDisablesCachingEntirely)
     EXPECT_EQ(counters.response_lru_bytes, 0u);
 }
 
-TEST(ResponseLru, EngineKeyedFingerprintsNeverAlias)
-{
-    // The same benchmark pinned to opposite engines renders
-    // byte-identical *results*, but the responses embed their own
-    // fingerprints — engine-pinned requests must each simulate cold,
-    // never serve one another's LRU entry.
-    auto pinned = [](const char *engine) {
-        auto parsed = util::json_parse(
-            std::string(R"({"type":"run","benchmarks":["stream"],)") +
-            R"("instructions":100000,"engine":")" + engine + "\"}");
-        EXPECT_TRUE(parsed.has_value());
-        auto decoded = core::decode_experiment_request(parsed.value());
-        EXPECT_TRUE(decoded.has_value())
-            << decoded.status().to_string();
-        return decoded.take();
-    };
-
-    SchedulerConfig config;
-    config.workers = 1;
-    Scheduler scheduler(config);
-    ASSERT_TRUE(scheduler.submit(pinned("analytic")).has_value());
-    ASSERT_TRUE(scheduler.submit(pinned("sim")).has_value());
-    const SchedulerCounters counters = scheduler.counters();
-    EXPECT_EQ(counters.simulations, 2u)
-        << "a sim-pinned request was answered from the analytic "
-           "request's response cache entry";
-    EXPECT_EQ(counters.response_lru_hits, 0u);
-    EXPECT_EQ(counters.response_lru_entries, 2u);
-}
-
 // ------------------------------------------------------ deadline shedding
 
 TEST(Scheduler, ShedsUnmeetableDeadlinesWithoutQueueing)
@@ -626,46 +590,6 @@ TEST_F(ServeFixture, RoundTripIsByteIdenticalToTheOfflineSuite)
         EXPECT_TRUE(
             core::deserialize_result(payload.value()).has_value());
     }
-}
-
-TEST_F(ServeFixture, ColdEngineRequestsDigestIdentically)
-{
-    start();
-
-    // Two *cold* requests for the same analyzable benchmark, pinned to
-    // opposite engines.  Their fingerprints differ (neither dedups nor
-    // warm-loads off the other), both simulate fresh, and their result
-    // digests must still match — the fast path is exact, not an
-    // approximation the cache happens to hide.
-    auto run_pinned = [this](const std::string &engine) {
-        RunRequest request;
-        request.benchmarks = {"stream"};
-        request.instructions = 100'000;
-        request.engine = engine;
-        auto response =
-            call_endpoint(endpoint, build_run_request(request));
-        EXPECT_TRUE(response.has_value())
-            << response.status().to_string();
-        return response.take();
-    };
-    const util::JsonValue analytic = run_pinned("analytic");
-    const util::JsonValue sim = run_pinned("sim");
-
-    const util::JsonValue &arun = analytic.find("benchmarks")->array()[0];
-    const util::JsonValue &srun = sim.find("benchmarks")->array()[0];
-    EXPECT_FALSE(arun.find("from_cache")->bool_value());
-    EXPECT_FALSE(srun.find("from_cache")->bool_value());
-    EXPECT_EQ(arun.find("engine")->string_value(), "analytic");
-    EXPECT_EQ(srun.find("engine")->string_value(), "sim");
-    EXPECT_EQ(arun.find("result_fnv")->string_value(),
-              srun.find("result_fnv")->string_value())
-        << "cold analytic digest differs from cold sim digest";
-
-    auto stats = call_endpoint(endpoint, build_stats_request());
-    ASSERT_TRUE(stats.has_value());
-    EXPECT_EQ(stats.value().find("analytic_runs")->u64_value(), 1u);
-    EXPECT_EQ(stats.value().find("sim_runs")->u64_value(), 1u);
-    EXPECT_EQ(stats.value().find("cache_hits")->u64_value(), 0u);
 }
 
 TEST_F(ServeFixture, SurvivesGarbageFramesAndVanishingPeers)

@@ -304,8 +304,10 @@ using core::suite_jobs;
  * bench binaries funnel their suite simulations through here.
  *
  * A failed job costs exactly its own rows (tables aggregate over the
- * survivors); an interrupt flushes the partial report with
- * `"interrupted": true` and exits 128+signal.
+ * survivors); when every job fails the report is flushed and the
+ * process exits 3, since no table can be built from zero runs.  An
+ * interrupt flushes the partial report with `"interrupted": true` and
+ * exits 128+signal.
  */
 inline std::vector<core::ExperimentResult>
 run_suite_reported(const std::vector<std::string> &names,
@@ -374,7 +376,15 @@ run_suite_reported(const std::vector<std::string> &names,
     }
 
     flush_report(cli);
-    return std::move(outcome).surviving();
+    std::vector<core::ExperimentResult> results =
+        std::move(outcome).surviving();
+    if (results.empty() && !outcome.failures.empty()) {
+        // No table can be built from zero runs; the flushed report
+        // already lists every failed job.
+        util::warn("every suite job failed; report flushed, exiting");
+        std::exit(3);
+    }
+    return results;
 }
 
 /**

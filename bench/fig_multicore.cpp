@@ -25,10 +25,13 @@
  */
 
 #include <chrono>
+#include <optional>
 
 #include "bench_common.hpp"
 #include "core/generalized_model.hpp"
 #include "multicore/multicore.hpp"
+
+using namespace leakbound;
 
 namespace {
 
@@ -44,12 +47,37 @@ join_names(const std::vector<std::string> &names)
     return out;
 }
 
+/**
+ * Run one sweep cell, or return nullopt when the run fails with a
+ * typed util::StatusError (a failed run check or an injected fault).
+ * The failure is recorded as a `job` failure, so it costs only that
+ * cell's rows and bench::finish exits 3.
+ */
+std::optional<multicore::MulticoreResult>
+run_cell(const core::ExperimentConfig &config)
+{
+    try {
+        return multicore::run_multicore(config.workload_mix.front(),
+                                        config);
+    } catch (const util::StatusError &error) {
+        const util::Status &status = error.status();
+        const std::string label =
+            multicore::mix_label(config.workload_mix);
+        util::warn("multicore cell ", label, " failed: ",
+                   status.to_string());
+        bench::report().failures.push_back(bench::BenchReport::Failure{
+            "job", label, util::error_kind_name(status.kind()),
+            status.message(), 0});
+        ++bench::report().failed_jobs;
+        return std::nullopt;
+    }
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    using namespace leakbound;
     using namespace leakbound::bench;
 
     auto cli = make_cli("fig_multicore",
@@ -108,8 +136,11 @@ main(int argc, char **argv)
                     pattern[i % pattern.size()]);
 
             const auto begun = std::chrono::steady_clock::now();
-            const multicore::MulticoreResult run = multicore::
-                run_multicore(config.workload_mix.front(), config);
+            const std::optional<multicore::MulticoreResult> cell =
+                run_cell(config);
+            if (!cell)
+                continue;
+            const multicore::MulticoreResult &run = *cell;
             const double wall =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - begun)

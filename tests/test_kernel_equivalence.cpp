@@ -432,9 +432,6 @@ TEST(SingleCoreGolden, SerializedDigestsArePinned)
         {"gzip", S::L2Ways16, 50'000, "a9467366b351ceba"},
         {"gcc", S::L2Ways16, 50'000, "0a5dc26ae13ca9be"},
         {"gzip", S::L2Ways64, 50'000, "33d9eda4f1317ba6"},
-        // The stream/stencil/chase rows were recorded from runs a
-        // since-removed periodic fast path skipped ahead on; plain
-        // simulation reproduces them byte for byte.
         {"stream", S::Default, 200'000, "52981c994f5580c9"},
         {"stencil", S::Default, 200'000, "e3d9eb7853471be0"},
         {"chase", S::Default, 200'000, "033157a12f2e7733"},

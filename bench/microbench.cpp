@@ -2,8 +2,8 @@
  * @file
  * google-benchmark micro-benchmarks of the simulator substrate itself:
  * cache access throughput, interval collection, histogram insertion,
- * exact policy evaluation, the stride predictor, the next-line monitor
- * and the end-to-end pipeline.  These guard the "laptop-scale in
+ * exact policy evaluation, the stride predictor, the next-line monitor,
+ * span generation and the end-to-end pipeline.  These guard the "laptop-scale in
  * seconds" property the bench suite depends on.
  */
 
@@ -293,6 +293,27 @@ BM_ResultSerialize(benchmark::State &state)
                             static_cast<std::int64_t>(2 * bytes));
 }
 BENCHMARK(BM_ResultSerialize);
+
+void
+BM_SpanFetch(benchmark::State &state)
+{
+    // Workload::next_spans alone for one paper benchmark, refilling a
+    // batch the way InOrderCore does; items are instructions, so
+    // 1e9 / items_per_second is the workload's ns/instr.
+    const std::string &name =
+        workload::suite_names()[static_cast<std::size_t>(state.range(0))];
+    auto w = workload::make_benchmark(name);
+    workload::SpanBatch batch;
+    std::uint64_t instructions = 0;
+    for (auto _ : state) {
+        batch.clear();
+        instructions += w->next_spans(batch, ~std::uint64_t{0});
+        benchmark::DoNotOptimize(batch.span[0].pc);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
+    state.SetLabel(name);
+}
+BENCHMARK(BM_SpanFetch)->DenseRange(0, 5);
 
 void
 BM_EndToEndPipeline(benchmark::State &state)

@@ -88,8 +88,6 @@ class BatchedObserver
         append_data({cycle, 0, 0, frame, false, /*invalidation=*/true});
     }
 
-    void on_group_end() {}
-
     /** Classify every logged record; call before reading results. */
     void
     flush()

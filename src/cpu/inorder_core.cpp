@@ -32,8 +32,6 @@ struct VirtualListener
         if (listener)
             listener->on_data_access(cycle, pc, addr, is_store, result);
     }
-
-    void on_group_end() {}
 };
 
 } // namespace

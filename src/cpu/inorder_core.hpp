@@ -15,20 +15,27 @@
  * path (core::run_one with a concrete listener type) compiles into one
  * devirtualized routine; the classic AccessListener interface rides on
  * the same loop through a thin adapter, and the multicore interleaver
- * steps it in bounded slices through run_until.  Instruction fetch
- * consumes from a small ring refilled via Workload::next_batch — one
- * virtual call per ring instead of one per µop.
+ * steps it in bounded slices through run_until.
+ *
+ * Instruction fetch reads spans (Workload::next_spans): straight-line
+ * runs plus their loads and stores, refilled one batch per virtual
+ * call.  A fetch group's extent is arithmetic — the fetch width, the
+ * distance to the end of the I-line, the remaining budget — and only
+ * memory ops are visited one at a time.  A group continues into the
+ * next span only when that span starts where the group's next
+ * instruction would (group_pc + size * instr_bytes) on the same
+ * I-line, which is the per-op rule; inside a span it continues only
+ * when instr_bytes equals the span step, otherwise a span yields one
+ * instruction per group, as the per-op rule would.
  */
 
 #ifndef LEAKBOUND_CPU_INORDER_CORE_HPP
 #define LEAKBOUND_CPU_INORDER_CORE_HPP
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 
 #include "sim/hierarchy.hpp"
-#include "trace/record.hpp"
 #include "util/status.hpp"
 #include "workload/workload.hpp"
 
@@ -120,10 +127,10 @@ class InOrderCore
 
     /**
      * run() with a concrete (non-virtual) listener: the kernel path.
-     * @p L provides on_instr(cycle, pc, result), on_data(cycle, pc,
-     * addr, is_store, result) and on_group_end(), all of which inline
-     * into the loop.  The op stream, timing, and statistics are
-     * byte-identical to run() over an equivalent AccessListener.
+     * @p L provides on_instr(cycle, pc, result) and on_data(cycle, pc,
+     * addr, is_store, result), both of which inline into the loop.
+     * The op stream, timing, and statistics are byte-identical to
+     * run() over an equivalent AccessListener.
      */
     template <typename L>
     CoreRunStats
@@ -155,103 +162,146 @@ class InOrderCore
     Cycle cycle() const { return cycle_; }
 
   private:
-    /** Ops buffered per Workload::next_batch refill. */
-    static constexpr std::uint32_t kFetchRing = 64;
+    /**
+     * Where fetch stands in batch_: the current span, the instructions
+     * of it already fetched, the next memory op, and one past the
+     * current span's last memory op.  span == batch_.spans means the
+     * batch is drained; otherwise the current span has instructions
+     * left.
+     */
+    struct FetchCursor
+    {
+        std::uint32_t span = 0;
+        std::uint32_t pos = 0;
+        std::uint32_t mem = 0;
+        std::uint32_t mem_end = 0;
+    };
 
     /**
-     * Expose the next op without consuming it, or nullptr when the
-     * workload is exhausted.  The pointer aims into the fetch ring and
-     * stays valid until the next peek — consume() never moves data, so
-     * the run loop reads op fields in place instead of copying 24-byte
-     * MicroOps through a peek/fetch shuffle.  The ring refills only
-     * here, once its leftovers have drained, so a chain of runs
-     * consumes the stream in order.
+     * Refill the drained batch with at most @p budget instructions;
+     * false when the workload is exhausted.  The batch refills only
+     * once its leftovers are fetched, so a chain of runs consumes the
+     * stream in order.
      */
-    const trace::MicroOp *
-    peek_ptr()
+    bool
+    refill(FetchCursor &at, std::uint64_t budget)
     {
-        if (ring_pos_ < ring_len_)
-            return &ring_[ring_pos_];
-        ring_len_ = static_cast<std::uint32_t>(
-            source_->next_batch(ring_.data(), kFetchRing));
-        ring_pos_ = 0;
-        return ring_len_ != 0 ? &ring_[0] : nullptr;
+        batch_.clear();
+        source_->next_spans(batch_, budget);
+        at = FetchCursor{};
+        if (batch_.spans == 0)
+            return false;
+        at.mem_end = batch_.span[0].mems;
+        return true;
     }
-
-    /** Consume the op peek_ptr() last returned. */
-    void consume() { ++ring_pos_; }
 
     /**
      * The run loop, shared by every entry point.  @p Bounded compiles
-     * run_until's per-group `cycle_ >= limit` test in; the unbounded
+     * run_until's per-group `cycle >= limit` test in; the unbounded
      * kernel path (run_with) carries no extra compare.
      */
     template <bool Bounded, typename L>
     CoreRunStats
     run_loop(std::uint64_t max_instructions, Cycle limit, L &listener)
     {
+        using workload::kInstrBytes;
+        using workload::SpanBatch;
+
         CoreRunStats stats;
         const Cycles l1i_hit = hierarchy_->config().l1i.hit_latency;
         const Cycles l1d_hit = hierarchy_->config().l1d.hit_latency;
         const std::uint32_t line_shift =
             hierarchy_->config().l1i.line_shift();
+        const std::uint32_t width = config_.fetch_width;
+        const Pc instr_bytes = config_.instr_bytes;
+        // The most a group takes from one span: the fetch width when
+        // instructions are as long as the span step; otherwise one,
+        // since the span's next instruction is then not where the
+        // group's next instruction would be.
+        const std::uint32_t span_width =
+            instr_bytes == kInstrBytes ? width : 1;
 
-        while (stats.instructions < max_instructions) {
-            const trace::MicroOp *op = peek_ptr();
-            if (!op)
+        // The cursor and the clock live in locals for the whole run, so
+        // hierarchy and listener calls cannot force them back to memory.
+        FetchCursor at = cursor_;
+        Cycle cycle = cycle_;
+        std::uint64_t left = max_instructions;
+        while (left != 0) {
+            if (at.span == batch_.spans && !refill(at, left))
                 break; // finite workload exhausted
 
             // Form the fetch group: sequential PCs within one I-line,
             // up to the fetch width.  A taken branch (PC discontinuity)
             // ends the group, as does a line boundary.
-            const Pc group_pc = op->pc;
+            const workload::Span *span = &batch_.span[at.span];
+            const Pc group_pc = span->pc + Pc{at.pos} * kInstrBytes;
             const Addr group_line = group_pc >> line_shift;
+            const Pc line_end = (group_line + 1) << line_shift;
 
             Cycles worst_data_penalty = 0;
             std::uint32_t group_size = 0;
-            Pc expected_pc = group_pc;
             for (;;) {
-                // `op` is the accepted instruction at `expected_pc`;
-                // consume it before processing (the next peek may
-                // refill the ring, but only after `op` is done).
-                consume();
-                ++group_size;
-                ++stats.instructions;
-                if (op->kind != trace::InstrKind::Op) {
-                    const bool is_store =
-                        op->kind == trace::InstrKind::Store;
+                // Take what the group may from this span: bounded by
+                // the span, the width, the line and the budget.
+                const Pc pc = span->pc + Pc{at.pos} * kInstrBytes;
+                std::uint64_t take = std::min(
+                    span->instrs - at.pos,
+                    std::min(span_width, width - group_size));
+                take = std::min(
+                    take, (line_end - pc + kInstrBytes - 1) / kInstrBytes);
+                take = std::min(take, left);
+                const auto end = static_cast<std::uint32_t>(at.pos + take);
+
+                for (; at.mem < at.mem_end; ++at.mem) {
+                    const std::uint32_t slot = batch_.mem_slot[at.mem];
+                    if (SpanBatch::offset(slot) >= end)
+                        break;
+                    const Addr addr = batch_.mem_addr[at.mem];
+                    const bool is_store = SpanBatch::is_store(slot);
                     const sim::HierarchyResult dres =
-                        hierarchy_->access_data(op->addr);
+                        hierarchy_->access_data(addr);
                     if (is_store)
                         ++stats.stores;
                     else
                         ++stats.loads;
-                    listener.on_data(cycle_, op->pc, op->addr, is_store,
-                                     dres);
+                    listener.on_data(
+                        cycle,
+                        span->pc + Pc{SpanBatch::offset(slot)} * kInstrBytes,
+                        addr, is_store, dres);
                     if (dres.latency > l1d_hit) {
                         worst_data_penalty =
                             std::max(worst_data_penalty,
                                      dres.latency - l1d_hit);
                     }
                 }
+                group_size += static_cast<std::uint32_t>(take);
+                left -= take;
+                at.pos = end;
 
-                if (group_size >= config_.fetch_width ||
-                    stats.instructions >= max_instructions) {
+                // Stopping inside the span ends the group: the width,
+                // the line, the budget or the step stopped it.
+                if (at.pos != span->instrs)
+                    break;
+                if (++at.span != batch_.spans) {
+                    at.pos = 0;
+                    at.mem_end += batch_.span[at.span].mems;
+                }
+                if (group_size == width || left == 0)
+                    break;
+                if (at.span == batch_.spans && !refill(at, left))
+                    break;
+                span = &batch_.span[at.span];
+                if (span->pc != group_pc + group_size * instr_bytes ||
+                    span->pc >> line_shift != group_line) {
                     break;
                 }
-                expected_pc += config_.instr_bytes;
-                const trace::MicroOp *next_op = peek_ptr();
-                if (!next_op || next_op->pc != expected_pc ||
-                    next_op->pc >> line_shift != group_line) {
-                    break;
-                }
-                op = next_op;
             }
+            stats.instructions += group_size;
 
             // One instruction-cache access per fetch group.
             const sim::HierarchyResult ires =
                 hierarchy_->access_instr(group_pc);
-            listener.on_instr(cycle_, group_pc, ires);
+            listener.on_instr(cycle, group_pc, ires);
             const Cycles instr_penalty =
                 ires.latency > l1i_hit ? ires.latency - l1i_hit : 0;
 
@@ -269,16 +319,17 @@ class InOrderCore
             else
                 stats.data_stall_cycles += stall;
 
-            cycle_ += 1 + stall;
-            listener.on_group_end();
+            cycle += 1 + stall;
 
             if constexpr (Bounded) {
-                if (cycle_ >= limit)
+                if (cycle >= limit)
                     break;
             }
         }
+        cursor_ = at;
+        cycle_ = cycle;
 
-        stats.cycles = cycle_;
+        stats.cycles = cycle;
         return stats;
     }
 
@@ -288,9 +339,8 @@ class InOrderCore
     AccessListener *listener_;
     Cycle cycle_ = 0;
 
-    std::array<trace::MicroOp, kFetchRing> ring_{};
-    std::uint32_t ring_pos_ = 0;
-    std::uint32_t ring_len_ = 0;
+    workload::SpanBatch batch_;
+    FetchCursor cursor_;
 };
 
 } // namespace leakbound::cpu

@@ -80,7 +80,6 @@ class NodeListener
     void on_instr(Cycle cycle, Pc pc, const sim::HierarchyResult &result);
     void on_data(Cycle cycle, Pc pc, Addr addr, bool is_store,
                  const sim::HierarchyResult &result);
-    void on_group_end() {}
 
     /** This core's observer (remote invalidations are logged here). */
     core::BatchedObserver &observer() { return observer_; }

@@ -11,12 +11,6 @@
 
 namespace leakbound::workload {
 
-namespace {
-
-constexpr std::uint32_t kInstrBytes = 4;
-
-} // namespace
-
 CallGraphProgram::CallGraphProgram(std::string name, Pc code_base,
                                    const CallGraphSpec &spec,
                                    std::vector<DataPatternPtr> patterns,
@@ -43,21 +37,20 @@ CallGraphProgram::CallGraphProgram(std::string name, Pc code_base,
         const std::uint32_t size = static_cast<std::uint32_t>(
             layout_rng.next_in(spec_.min_instrs, spec_.max_instrs));
         fn.base_pc = next_pc;
+        fn.instrs = size;
         next_pc += static_cast<Pc>(size) * kInstrBytes;
-        fn.kinds.reserve(size);
+        fn.mem_begin = static_cast<std::uint32_t>(mem_slots_.size());
         for (std::uint32_t k = 0; k < size; ++k) {
             if (!patterns_.empty() &&
                 layout_rng.next_bool(spec_.mem_fraction)) {
-                fn.kinds.push_back(layout_rng.next_bool(spec_.store_fraction)
-                                       ? trace::InstrKind::Store
-                                       : trace::InstrKind::Load);
-            } else {
-                fn.kinds.push_back(trace::InstrKind::Op);
+                const bool store = layout_rng.next_bool(spec_.store_fraction);
+                mem_slots_.push_back(SpanBatch::slot(k, store));
             }
         }
+        fn.mem_end = static_cast<std::uint32_t>(mem_slots_.size());
         if (!patterns_.empty()) {
-            fn.pattern = static_cast<int>(
-                layout_rng.next_below(patterns_.size()));
+            fn.pattern =
+                patterns_[layout_rng.next_below(patterns_.size())].get();
         }
         // Callees: locality-biased — mostly the near neighbourhood,
         // with occasional long jumps that make the walk drift.
@@ -102,71 +95,71 @@ CallGraphProgram::enter(std::uint32_t function)
     repeats_left_ = static_cast<std::uint32_t>(
         run_rng_.next_in(spec_.repeat_min, spec_.repeat_max));
     instr_idx_ = 0;
+    mem_idx_ = functions_[function].mem_begin;
+}
+
+void
+CallGraphProgram::finish_body(const Function &fn)
+{
+    if (repeats_left_ > 1) {
+        --repeats_left_;
+        instr_idx_ = 0;
+        mem_idx_ = fn.mem_begin;
+        return;
+    }
+    const auto &callees = fn.callees;
+    const std::uint32_t nxt =
+        callees.empty()
+            ? static_cast<std::uint32_t>(
+                  run_rng_.next_below(functions_.size()))
+            : callees[run_rng_.next_below(callees.size())];
+    enter(nxt);
 }
 
 bool
 CallGraphProgram::next(trace::MicroOp &op)
 {
     const Function *fn = &functions_[current_];
-    while (instr_idx_ >= fn->kinds.size()) {
-        if (repeats_left_ > 1) {
-            --repeats_left_;
-            instr_idx_ = 0;
-        } else {
-            const auto &callees = fn->callees;
-            const std::uint32_t nxt =
-                callees.empty()
-                    ? static_cast<std::uint32_t>(run_rng_.next_below(
-                          functions_.size()))
-                    : callees[run_rng_.next_below(callees.size())];
-            enter(nxt);
-        }
+    while (instr_idx_ >= fn->instrs) {
+        finish_body(*fn);
         fn = &functions_[current_];
     }
 
     op.pc = fn->base_pc + static_cast<Pc>(instr_idx_) * kInstrBytes;
-    op.kind = fn->kinds[instr_idx_];
-    if (op.kind == trace::InstrKind::Op) {
-        op.addr = kInvalidAddr;
+    if (mem_idx_ < fn->mem_end &&
+        SpanBatch::offset(mem_slots_[mem_idx_]) == instr_idx_) {
+        op.kind = SpanBatch::is_store(mem_slots_[mem_idx_++])
+                      ? trace::InstrKind::Store
+                      : trace::InstrKind::Load;
+        op.addr = fn->pattern->next();
     } else {
-        op.addr =
-            patterns_[static_cast<std::size_t>(fn->pattern)]->next();
+        op.kind = trace::InstrKind::Op;
+        op.addr = kInvalidAddr;
     }
     ++instr_idx_;
     return true;
 }
 
-std::size_t
-CallGraphProgram::next_batch(trace::MicroOp *out, std::size_t max)
+std::uint64_t
+CallGraphProgram::next_spans(SpanBatch &out, std::uint64_t max_instructions)
 {
-    // Block-filling form of next(): drain the current function body in
-    // a tight loop (identical pattern draws); the repeat/call
-    // transitions reuse next() itself, keeping the walk RNG draw order
-    // exactly the one-op path's.
-    std::size_t got = 0;
-    while (got < max) {
+    // The rest of the current body up to the cap, one span per call of
+    // append_body; the repeat/call steps between bodies are next()'s.
+    std::uint64_t got = 0;
+    while (got < max_instructions && !out.full()) {
         const Function &fn = functions_[current_];
-        if (instr_idx_ < fn.kinds.size()) {
-            DataPattern *pattern =
-                fn.pattern >= 0
-                    ? patterns_[static_cast<std::size_t>(fn.pattern)].get()
-                    : nullptr;
-            const std::size_t end = fn.kinds.size();
-            while (got < max && instr_idx_ < end) {
-                trace::MicroOp &op = out[got++];
-                op.pc =
-                    fn.base_pc + static_cast<Pc>(instr_idx_) * kInstrBytes;
-                op.kind = fn.kinds[instr_idx_];
-                op.addr = op.kind == trace::InstrKind::Op
-                              ? kInvalidAddr
-                              : pattern->next();
-                ++instr_idx_;
-            }
+        if (instr_idx_ >= fn.instrs) {
+            finish_body(fn);
             continue;
         }
-        if (!next(out[got]))
-            break;
-        ++got;
+        const auto end = static_cast<std::uint32_t>(
+            instr_idx_ + std::min<std::uint64_t>(fn.instrs - instr_idx_,
+                                                 max_instructions - got));
+        const std::uint32_t took =
+            out.append_body(fn.base_pc, instr_idx_, end, mem_slots_.data(),
+                            mem_idx_, fn.mem_end, fn.pattern);
+        instr_idx_ += took;
+        got += took;
     }
     return got;
 }

@@ -57,27 +57,39 @@ class CallGraphProgram final : public Workload
 
     std::string name() const override { return name_; }
     bool next(trace::MicroOp &op) override;
-    std::size_t next_batch(trace::MicroOp *out, std::size_t max) override;
+    std::uint64_t next_spans(SpanBatch &out,
+                             std::uint64_t max_instructions) override;
     void reset() override;
 
     /** Static code footprint in bytes. */
     std::uint64_t code_bytes() const { return code_bytes_; }
 
   private:
+    /**
+     * One function: its body's instructions, the static kind of each
+     * as the body's memory-op SpanBatch slots in mem_slots_[mem_begin,
+     * mem_end) (every other instruction is a plain op), and its
+     * callees.
+     */
     struct Function
     {
         Pc base_pc = 0;
-        std::vector<trace::InstrKind> kinds;
+        std::uint32_t instrs = 0;
+        std::uint32_t mem_begin = 0;
+        std::uint32_t mem_end = 0;
         std::vector<std::uint32_t> callees;
-        int pattern = -1;
+        DataPattern *pattern = nullptr;
     };
 
     void start_run();
     void enter(std::uint32_t function);
+    /** Repeat the finished body of @p fn, or call out of it. */
+    void finish_body(const Function &fn);
 
     std::string name_;
     CallGraphSpec spec_;
     std::vector<Function> functions_;
+    std::vector<std::uint32_t> mem_slots_; ///< every body's, in layout order
     std::uint64_t code_bytes_ = 0;
     std::vector<DataPatternPtr> patterns_;
     std::uint64_t seed_;
@@ -86,6 +98,7 @@ class CallGraphProgram final : public Workload
     std::uint32_t current_ = 0;
     std::uint32_t repeats_left_ = 0;
     std::uint32_t instr_idx_ = 0;
+    std::uint32_t mem_idx_ = 0; ///< first slot at or after instr_idx_
 };
 
 } // namespace leakbound::workload

@@ -16,12 +16,6 @@ namespace {
 /** Instructions in a loop latch (compare + branch). */
 constexpr std::uint32_t kLatchInstrs = 2;
 
-/** Bytes per instruction (fixed-width encoding). */
-constexpr std::uint32_t kInstrBytes = 4;
-
-/** Address draws batched per DataPattern::fill() call. */
-constexpr std::size_t kAddrBatch = 64;
-
 } // namespace
 
 NodeSpec
@@ -84,23 +78,18 @@ LoopProgram::flatten(const NodeSpec &spec, Pc &next_pc,
         }
         FlatBlock flat;
         flat.base_pc = next_pc;
-        flat.pattern = b.pattern;
-        flat.kinds.reserve(b.instrs);
+        flat.instrs = b.instrs;
+        flat.mem_begin = static_cast<std::uint32_t>(mem_slots_.size());
         for (std::uint32_t i = 0; i < b.instrs; ++i) {
             if (b.pattern >= 0 && layout_rng.next_bool(b.mem_fraction)) {
-                flat.kinds.push_back(layout_rng.next_bool(b.store_fraction)
-                                         ? trace::InstrKind::Store
-                                         : trace::InstrKind::Load);
-            } else {
-                flat.kinds.push_back(trace::InstrKind::Op);
+                const bool store = layout_rng.next_bool(b.store_fraction);
+                mem_slots_.push_back(SpanBatch::slot(i, store));
             }
         }
-        flat.mem_prefix.reserve(b.instrs + 1);
-        flat.mem_prefix.push_back(0);
-        for (trace::InstrKind k : flat.kinds) {
-            flat.mem_prefix.push_back(
-                flat.mem_prefix.back() +
-                (k != trace::InstrKind::Op ? 1 : 0));
+        flat.mem_end = static_cast<std::uint32_t>(mem_slots_.size());
+        if (flat.mem_end != flat.mem_begin) {
+            flat.pattern =
+                patterns_[static_cast<std::size_t>(b.pattern)].get();
         }
         next_pc += static_cast<Pc>(b.instrs) * kInstrBytes;
         node.block_index = blocks_.size();
@@ -125,6 +114,7 @@ LoopProgram::start_run()
     stack_.push_back(Frame{nullptr, 0, 0});
     cur_block_ = nullptr;
     instr_idx_ = 0;
+    mem_idx_ = 0;
     latch_pc_ = 0;
     latch_idx_ = 0;
 }
@@ -148,114 +138,94 @@ LoopProgram::next(trace::MicroOp &op)
             return true;
         }
 
-        if (cur_block_ != nullptr) {
-            if (instr_idx_ >= cur_block_->kinds.size()) {
-                cur_block_ = nullptr;
-                continue;
-            }
+        if (cur_block_ != nullptr && instr_idx_ < cur_block_->instrs) {
             op.pc = cur_block_->base_pc +
                     static_cast<Pc>(instr_idx_) * kInstrBytes;
-            op.kind = cur_block_->kinds[instr_idx_];
-            if (op.kind == trace::InstrKind::Op) {
-                op.addr = kInvalidAddr;
+            if (mem_idx_ < cur_block_->mem_end &&
+                SpanBatch::offset(mem_slots_[mem_idx_]) == instr_idx_) {
+                op.kind = SpanBatch::is_store(mem_slots_[mem_idx_++])
+                              ? trace::InstrKind::Store
+                              : trace::InstrKind::Load;
+                op.addr = cur_block_->pattern->next();
             } else {
-                op.addr = patterns_[static_cast<std::size_t>(
-                                        cur_block_->pattern)]
-                              ->next();
+                op.kind = trace::InstrKind::Op;
+                op.addr = kInvalidAddr;
             }
             ++instr_idx_;
             return true;
         }
 
-        Frame &frame = stack_.back();
-        const std::vector<FlatNode> &body = body_of(frame);
-        if (frame.pos < body.size()) {
-            const FlatNode &node = body[frame.pos++];
-            if (node.kind == NodeSpec::Kind::Block) {
-                cur_block_ = &blocks_[node.block_index];
-                instr_idx_ = 0;
-            } else {
-                const std::uint64_t trips =
-                    run_rng_.next_in(node.min_trips, node.max_trips);
-                if (trips > 0)
-                    stack_.push_back(Frame{&node, trips, 0});
-            }
-            continue;
-        }
-
-        // Body finished: emit the latch, then either iterate or exit.
-        latch_pc_ = frame.loop ? frame.loop->latch_pc : top_latch_pc_;
-        latch_idx_ = 0;
-        if (frame.loop == nullptr) {
-            frame.pos = 0; // the top-level loop runs forever
-        } else if (--frame.trips_left > 0) {
-            frame.pos = 0;
-        } else {
-            stack_.pop_back();
-        }
+        advance();
     }
 }
 
-std::size_t
-LoopProgram::next_batch(trace::MicroOp *out, std::size_t max)
+void
+LoopProgram::advance()
 {
-    // Block-filling form of next(): the two emission states (latch,
-    // straight-line block) run as tight loops emitting exactly the ops
-    // next() would, with identical pattern draws; the state-machine
-    // transitions between them reuse next() itself.
-    std::size_t got = 0;
-    while (got < max) {
+    cur_block_ = nullptr;
+    Frame &frame = stack_.back();
+    const std::vector<FlatNode> &body = body_of(frame);
+    if (frame.pos < body.size()) {
+        const FlatNode &node = body[frame.pos++];
+        if (node.kind == NodeSpec::Kind::Block) {
+            cur_block_ = &blocks_[node.block_index];
+            instr_idx_ = 0;
+            mem_idx_ = cur_block_->mem_begin;
+        } else {
+            const std::uint64_t trips =
+                run_rng_.next_in(node.min_trips, node.max_trips);
+            if (trips > 0)
+                stack_.push_back(Frame{&node, trips, 0});
+        }
+        return;
+    }
+
+    // Body finished: emit the latch, then either iterate or exit.
+    latch_pc_ = frame.loop ? frame.loop->latch_pc : top_latch_pc_;
+    latch_idx_ = 0;
+    if (frame.loop == nullptr) {
+        frame.pos = 0; // the top-level loop runs forever
+    } else if (--frame.trips_left > 0) {
+        frame.pos = 0;
+    } else {
+        stack_.pop_back();
+    }
+}
+
+std::uint64_t
+LoopProgram::next_spans(SpanBatch &out, std::uint64_t max_instructions)
+{
+    // The two emission states of next() as spans: the rest of the
+    // latch, or the rest of the block up to the cap; the interpreter
+    // steps between them are next()'s own.
+    std::uint64_t got = 0;
+    while (got < max_instructions && !out.full()) {
+        const std::uint64_t cap = max_instructions - got;
         if (latch_pc_ != 0) {
-            while (got < max && latch_pc_ != 0) {
-                trace::MicroOp &op = out[got++];
-                op.pc =
-                    latch_pc_ + static_cast<Pc>(latch_idx_) * kInstrBytes;
-                op.kind = trace::InstrKind::Op;
-                op.addr = kInvalidAddr;
-                if (++latch_idx_ == kLatchInstrs)
-                    latch_pc_ = 0;
-            }
+            const auto take = static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(kLatchInstrs - latch_idx_, cap));
+            out.span[out.spans++] = {
+                latch_pc_ + static_cast<Pc>(latch_idx_) * kInstrBytes, take,
+                0};
+            got += take;
+            latch_idx_ += take;
+            if (latch_idx_ == kLatchInstrs)
+                latch_pc_ = 0;
             continue;
         }
-        if (cur_block_ != nullptr &&
-            instr_idx_ < cur_block_->kinds.size()) {
+        if (cur_block_ != nullptr && instr_idx_ < cur_block_->instrs) {
             const FlatBlock &blk = *cur_block_;
-            DataPattern *pattern =
-                blk.pattern >= 0
-                    ? patterns_[static_cast<std::size_t>(blk.pattern)]
-                          .get()
-                    : nullptr;
-            const std::size_t end_all = blk.kinds.size();
-            while (got < max && instr_idx_ < end_all) {
-                // Count the span's pattern draws up front and batch
-                // them through one virtual fill() — same draws in the
-                // same order next() would make.
-                const std::size_t span =
-                    std::min({end_all - instr_idx_, max - got,
-                              kAddrBatch});
-                const std::size_t start = instr_idx_;
-                const std::size_t end = start + span;
-                const std::uint32_t nmem =
-                    blk.mem_prefix[end] - blk.mem_prefix[start];
-                Addr addrs[kAddrBatch];
-                if (nmem != 0)
-                    pattern->fill(addrs, nmem);
-                std::size_t draw = 0;
-                for (std::size_t i = start; i < end; ++i) {
-                    trace::MicroOp &op = out[got++];
-                    op.pc = blk.base_pc + static_cast<Pc>(i) * kInstrBytes;
-                    op.kind = blk.kinds[i];
-                    op.addr = op.kind == trace::InstrKind::Op
-                                  ? kInvalidAddr
-                                  : addrs[draw++];
-                }
-                instr_idx_ = static_cast<std::uint32_t>(end);
-            }
+            const auto end = static_cast<std::uint32_t>(
+                instr_idx_ +
+                std::min<std::uint64_t>(blk.instrs - instr_idx_, cap));
+            const std::uint32_t took = out.append_body(
+                blk.base_pc, instr_idx_, end, mem_slots_.data(), mem_idx_,
+                blk.mem_end, blk.pattern);
+            instr_idx_ += took;
+            got += took;
             continue;
         }
-        if (!next(out[got]))
-            break;
-        ++got;
+        advance();
     }
     return got;
 }

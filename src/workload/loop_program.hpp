@@ -71,25 +71,26 @@ class LoopProgram final : public Workload
 
     std::string name() const override { return name_; }
     bool next(trace::MicroOp &op) override;
-    std::size_t next_batch(trace::MicroOp *out, std::size_t max) override;
+    std::uint64_t next_spans(SpanBatch &out,
+                             std::uint64_t max_instructions) override;
     void reset() override;
 
     /** Static code footprint in bytes (blocks + loop latches). */
     std::uint64_t code_bytes() const { return code_bytes_; }
 
   private:
-    /** Flattened block: PCs plus the per-instruction static kinds. */
+    /**
+     * Flattened block: its instructions, and the static kind of each
+     * as its memory ops' SpanBatch slots in mem_slots_[mem_begin,
+     * mem_end) (every other instruction is a plain op).
+     */
     struct FlatBlock
     {
         Pc base_pc = 0;
-        std::vector<trace::InstrKind> kinds;
-        /**
-         * mem_prefix[i] = memory ops among kinds[0..i) — lets
-         * next_batch() count the pattern draws of any span up front
-         * and batch them through DataPattern::fill().
-         */
-        std::vector<std::uint32_t> mem_prefix;
-        int pattern = -1;
+        std::uint32_t instrs = 0;
+        std::uint32_t mem_begin = 0;
+        std::uint32_t mem_end = 0;
+        DataPattern *pattern = nullptr; ///< set when the block has memory ops
     };
 
     /** Flattened node referencing the spec tree. */
@@ -114,11 +115,14 @@ class LoopProgram final : public Workload
     FlatNode flatten(const NodeSpec &spec, Pc &next_pc,
                      util::Rng &layout_rng);
     void start_run();
+    /** Step the interpreter once past a finished block or latch. */
+    void advance();
     const std::vector<FlatNode> &body_of(const Frame &frame) const;
 
     std::string name_;
     Pc code_base_;
     std::vector<FlatBlock> blocks_;
+    std::vector<std::uint32_t> mem_slots_; ///< every block's, in layout order
     std::vector<FlatNode> top_;
     Pc top_latch_pc_ = 0;
     std::uint64_t code_bytes_ = 0;
@@ -129,6 +133,7 @@ class LoopProgram final : public Workload
     std::vector<Frame> stack_;
     const FlatBlock *cur_block_ = nullptr;
     std::uint32_t instr_idx_ = 0;
+    std::uint32_t mem_idx_ = 0; ///< first slot at or after instr_idx_
     Pc latch_pc_ = 0;       ///< nonzero while emitting a latch
     std::uint32_t latch_idx_ = 0;
 };

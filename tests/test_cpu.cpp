@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "core_fixtures.hpp"
 #include "cpu/inorder_core.hpp"
 #include "sim/hierarchy.hpp"
 #include "workload/spec_suite.hpp"
@@ -19,35 +20,10 @@ using namespace leakbound;
 using namespace leakbound::cpu;
 using trace::InstrKind;
 using trace::MicroOp;
+using fixtures::EventLog;
+using fixtures::ScriptedWorkload;
 
 namespace {
-
-/** Scripted workload: replays a fixed vector of micro-ops. */
-class ScriptedWorkload final : public workload::Workload
-{
-  public:
-    explicit ScriptedWorkload(std::vector<MicroOp> ops)
-        : ops_(std::move(ops))
-    {
-    }
-
-    std::string name() const override { return "scripted"; }
-
-    bool
-    next(MicroOp &op) override
-    {
-        if (pos_ >= ops_.size())
-            return false;
-        op = ops_[pos_++];
-        return true;
-    }
-
-    void reset() override { pos_ = 0; }
-
-  private:
-    std::vector<MicroOp> ops_;
-    std::size_t pos_ = 0;
-};
 
 /** Records every callback. */
 class RecordingListener final : public AccessListener
@@ -84,65 +60,6 @@ class RecordingListener final : public AccessListener
 
     std::vector<InstrEvent> instr;
     std::vector<DataEvent> data;
-};
-
-/** Concrete run_with/run_until listener logging every event in order. */
-struct EventLog
-{
-    enum Kind : int { Instr, Load, Store, GroupEnd };
-    struct Event
-    {
-        Cycle cycle;
-        Pc pc;
-        Addr addr;
-        Kind kind;
-        FrameId frame;
-        bool hit;
-
-        bool operator==(const Event &) const = default;
-    };
-
-    void
-    on_instr(Cycle cycle, Pc pc, const sim::HierarchyResult &result)
-    {
-        events.push_back(
-            {cycle, pc, kInvalidAddr, Instr, result.l1.frame, result.l1.hit});
-    }
-
-    void
-    on_data(Cycle cycle, Pc pc, Addr addr, bool is_store,
-            const sim::HierarchyResult &result)
-    {
-        events.push_back({cycle, pc, addr, is_store ? Store : Load,
-                          result.l1.frame, result.l1.hit});
-    }
-
-    void
-    on_group_end()
-    {
-        events.push_back({0, 0, kInvalidAddr, GroupEnd, kInvalidFrame, false});
-    }
-
-    /**
-     * Cycle at the end of every fetch group, given the run's end: each
-     * group has one L1I event, stamped with its start cycle, and a group
-     * ends where the next one starts.
-     */
-    std::vector<Cycle>
-    group_end_cycles(Cycle final_cycle) const
-    {
-        std::vector<Cycle> ends;
-        for (const Event &e : events) {
-            if (e.kind != Instr)
-                continue;
-            if (!ends.empty())
-                ends.back() = e.cycle;
-            ends.push_back(final_cycle);
-        }
-        return ends;
-    }
-
-    std::vector<Event> events;
 };
 
 MicroOp

@@ -31,6 +31,14 @@
  *    FlatMap-backed oracle (reference_next_line.hpp) over seeded
  *    streams of record, covers, append_state and reset, asserting every
  *    answer and snapshot.
+ *
+ *  - Span fetch: cpu::InOrderCore against the per-op run loop
+ *    (reference_core.hpp) over random scripted programs (PC jumps,
+ *    I-line crossings, 2/4/8-byte PC steps) and the nine benchmark
+ *    workloads, at fetch widths 1-8 and instr_bytes 2, 4 and 8, in
+ *    random chains of run_until calls whose budgets end mid-group,
+ *    asserting every listener event, every call's statistics and the
+ *    cycle after every call.
  */
 
 #include <gtest/gtest.h>
@@ -41,8 +49,11 @@
 
 #include "core/artifact_cache.hpp"
 #include "core/experiment.hpp"
+#include "core_fixtures.hpp"
+#include "cpu/inorder_core.hpp"
 #include "prefetch/next_line.hpp"
 #include "reference_cache.hpp"
+#include "reference_core.hpp"
 #include "reference_next_line.hpp"
 #include "sim/cache.hpp"
 #include "util/fingerprint.hpp"
@@ -664,5 +675,176 @@ TEST(NextLine, PagedMatchesReference)
         reference.append_state(rs, now);
         EXPECT_EQ(ps, rs) << "stream " << stream;
         EXPECT_GT(covered_answers, 0u) << "stream " << stream;
+    }
+}
+
+namespace {
+
+/**
+ * A random scripted program: straight runs of 1-48 ops at a 2-, 4- or
+ * 8-byte step, each starting where the last one ended (sometimes at a
+ * different step), at a small jump, or anywhere in a 16 KiB code
+ * region at any even offset, so runs cross I-lines and line ends at
+ * every alignment.
+ */
+std::vector<trace::MicroOp>
+random_script(util::Rng &rng, std::size_t ops)
+{
+    const Pc steps[] = {2, 4, 4, 4, 8};
+    std::vector<trace::MicroOp> script;
+    Pc pc = kCodeBase;
+    while (script.size() < ops) {
+        const Pc step = steps[rng.next_below(5)];
+        switch (rng.next_below(4)) {
+          case 0:
+            break; // continue where the last run ended
+          case 1:
+            pc += 2 * rng.next_below(16);
+            break;
+          default:
+            pc = kCodeBase + 2 * rng.next_below(8 << 10);
+            break;
+        }
+        const double mem = 0.5 * static_cast<double>(rng.next_below(3));
+        const std::uint64_t run = 1 + rng.next_below(48);
+        for (std::uint64_t i = 0; i < run; ++i, pc += step) {
+            trace::MicroOp op;
+            op.pc = pc;
+            if (rng.next_bool(mem)) {
+                op.kind = rng.next_bool(0.3) ? trace::InstrKind::Store
+                                             : trace::InstrKind::Load;
+                op.addr = kHeapBase + rng.next_below(1 << 17);
+            }
+            script.push_back(op);
+        }
+    }
+    return script;
+}
+
+/**
+ * Drive @p core and the per-op @p reference through the same random
+ * chain of run_until calls, asserting that every call returns the same
+ * statistics and leaves the same cycle, and that the event logs agree.
+ * Budgets of 0-9 instructions end most calls mid-group; the limits
+ * range from "one group" to unbounded.  Stops once both cores run dry
+ * or @p total instructions have run.
+ */
+void
+run_lockstep(cpu::InOrderCore &core, oracle::ReferenceCore &reference,
+             util::Rng &rng, std::uint64_t total, const std::string &label)
+{
+    fixtures::EventLog log;
+    fixtures::EventLog want;
+    std::uint64_t done = 0;
+    std::uint64_t calls = 0;
+    while (done < total) {
+        const std::uint64_t budget =
+            rng.next_bool(0.7) ? rng.next_below(10) : rng.next_below(400);
+        const Cycle limit =
+            rng.next_bool(0.1)
+                ? cpu::InOrderCore::kNoCycleLimit
+                : core.cycle() + rng.next_below(rng.next_bool(0.5) ? 4 : 300);
+        const cpu::CoreRunStats got = core.run_until(budget, limit, log);
+        const cpu::CoreRunStats expected =
+            reference.run_until(budget, limit, want);
+        ++calls;
+        ASSERT_EQ(got.instructions, expected.instructions)
+            << label << " call " << calls;
+        ASSERT_EQ(got.fetch_groups, expected.fetch_groups)
+            << label << " call " << calls;
+        ASSERT_EQ(got.loads, expected.loads) << label << " call " << calls;
+        ASSERT_EQ(got.stores, expected.stores) << label << " call " << calls;
+        ASSERT_EQ(got.instr_stall_cycles, expected.instr_stall_cycles)
+            << label << " call " << calls;
+        ASSERT_EQ(got.data_stall_cycles, expected.data_stall_cycles)
+            << label << " call " << calls;
+        ASSERT_EQ(got.cycles, expected.cycles) << label << " call " << calls;
+        ASSERT_EQ(core.cycle(), reference.cycle())
+            << label << " call " << calls;
+        ASSERT_EQ(log.events.size(), want.events.size())
+            << label << " call " << calls;
+        if (budget != 0 && got.instructions == 0)
+            break; // both ran dry
+        done += got.instructions;
+    }
+    ASSERT_TRUE(log.events == want.events) << label;
+}
+
+} // namespace
+
+/**
+ * Span fetch against the per-op run loop on scripted programs: the
+ * default next_spans splits them into spans wherever the PC step is
+ * not 4 bytes, so group formation is checked across span boundaries,
+ * inside spans, at every line offset and for instruction sizes the
+ * spans' step does not match.
+ */
+TEST(SpanFetch, ScriptedProgramsMatchPerOpCore)
+{
+    constexpr std::uint64_t kPrograms = 400;
+    const std::uint32_t instr_bytes[] = {2, 4, 8};
+    for (std::uint64_t seed = 1; seed <= kPrograms; ++seed) {
+        util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 5);
+        const std::vector<trace::MicroOp> script =
+            random_script(rng, 200 + rng.next_below(3000));
+        cpu::CoreConfig config;
+        config.fetch_width = 1 + static_cast<std::uint32_t>(rng.next_below(8));
+        config.instr_bytes = instr_bytes[rng.next_below(3)];
+        config.miss_overlap_percent =
+            static_cast<std::uint32_t>(rng.next_below(101));
+        sim::HierarchyConfig geometry;
+        geometry.l1i.line_bytes = rng.next_bool(0.5) ? 32 : 64;
+
+        fixtures::ScriptedWorkload w1(script);
+        fixtures::ScriptedWorkload w2(script);
+        sim::Hierarchy h1{geometry};
+        sim::Hierarchy h2{geometry};
+        cpu::InOrderCore core(config, &h1, &w1);
+        oracle::ReferenceCore reference(config, &h2, &w2);
+        const std::string label =
+            "seed " + std::to_string(seed) + " width " +
+            std::to_string(config.fetch_width) + " instr_bytes " +
+            std::to_string(config.instr_bytes);
+        run_lockstep(core, reference, rng, ~std::uint64_t{0}, label);
+        if (HasFatalFailure())
+            return;
+        EXPECT_EQ(h1.l1i().stats().accesses, h2.l1i().stats().accesses)
+            << label;
+        EXPECT_EQ(h1.l2().stats().misses, h2.l2().stats().misses) << label;
+    }
+}
+
+/**
+ * The same lockstep over the nine benchmark workloads, whose spans
+ * come from the LoopProgram, CallGraphProgram and CompositeWorkload
+ * emitters, against a second instance read through next().
+ */
+TEST(SpanFetch, BenchmarksMatchPerOpCore)
+{
+    const std::vector<std::string> names = {
+        "ammp", "applu", "gcc",    "gzip", "mesa",
+        "vortex", "stream", "stencil", "chase"};
+    util::Rng rng(0x5fa9);
+    const std::uint32_t instr_bytes[] = {4, 4, 2, 8};
+    for (const std::string &name : names) {
+        for (int round = 0; round < 2; ++round) {
+            cpu::CoreConfig config;
+            config.fetch_width =
+                1 + static_cast<std::uint32_t>(rng.next_below(8));
+            config.instr_bytes = instr_bytes[rng.next_below(4)];
+            auto w1 = workload::make_benchmark(name);
+            auto w2 = workload::make_benchmark(name);
+            sim::Hierarchy h1{sim::HierarchyConfig{}};
+            sim::Hierarchy h2{sim::HierarchyConfig{}};
+            cpu::InOrderCore core(config, &h1, w1.get());
+            oracle::ReferenceCore reference(config, &h2, w2.get());
+            run_lockstep(core, reference, rng, 40'000,
+                         name + " width " +
+                             std::to_string(config.fetch_width) +
+                             " instr_bytes " +
+                             std::to_string(config.instr_bytes));
+            if (HasFatalFailure())
+                return;
+        }
     }
 }

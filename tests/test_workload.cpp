@@ -2,14 +2,18 @@
  * @file
  * Tests of the workload substrate: data-pattern semantics, loop
  * program structure and determinism, the call-graph walker, phase
- * composition, and the six-benchmark suite registry.
+ * composition, the six-benchmark suite registry, and the span and
+ * batch forms of every benchmark's stream against next().
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "core_fixtures.hpp"
 #include "workload/callgraph.hpp"
 #include "workload/data_pattern.hpp"
 #include "workload/loop_program.hpp"
@@ -342,4 +346,207 @@ TEST(SpecSuite, HrLoopIntervalTracksInnerRange)
     const std::uint64_t small = measure(4);
     const std::uint64_t large = measure(128);
     EXPECT_GT(large, small * 4);
+}
+
+// ------------------------------------------------ spans and batches
+
+namespace {
+
+/** The paper suite and the three synthetic extras. */
+const std::vector<std::string> kAllBenchmarks = {
+    "ammp", "applu", "gcc", "gzip", "mesa", "vortex",
+    "stream", "stencil", "chase"};
+
+/**
+ * Check @p batch's shape and expand it against @p ref.next(): every
+ * span non-empty, memory ops in order inside their span, and op for op
+ * the PCs, kinds and addresses next() produces.  @return the first
+ * mismatch, or an empty string.
+ */
+std::string
+spans_mismatch(const SpanBatch &batch, std::uint64_t got, Workload &ref)
+{
+    std::uint64_t instrs = 0;
+    std::uint32_t m = 0;
+    for (std::uint32_t s = 0; s < batch.spans; ++s) {
+        const Span &span = batch.span[s];
+        const std::uint32_t mem_end = m + span.mems;
+        if (span.instrs == 0 || mem_end > batch.mems)
+            return "malformed span " + std::to_string(s);
+        for (std::uint32_t i = 0; i < span.instrs; ++i) {
+            MicroOp want;
+            if (!ref.next(want))
+                return "next() ran dry";
+            MicroOp op;
+            op.pc = span.pc + Pc{i} * kInstrBytes;
+            if (m < mem_end && SpanBatch::offset(batch.mem_slot[m]) == i) {
+                op.kind = SpanBatch::is_store(batch.mem_slot[m])
+                              ? InstrKind::Store
+                              : InstrKind::Load;
+                op.addr = batch.mem_addr[m++];
+            }
+            if (op.pc != want.pc || op.kind != want.kind ||
+                op.addr != want.addr) {
+                return "op " + std::to_string(instrs + i) + " of the batch: pc " +
+                       std::to_string(op.pc) + " vs " + std::to_string(want.pc);
+            }
+        }
+        if (m != mem_end)
+            return "memory op past the end of span " + std::to_string(s);
+        instrs += span.instrs;
+    }
+    if (m != batch.mems || instrs != got)
+        return "batch totals disagree with its spans";
+    return {};
+}
+
+/** Stream @p ops instructions of @p spans in calls capped at @p cap. */
+void
+expect_stream_matches_next(Workload &spans, Workload &ref, std::uint64_t cap,
+                           std::uint64_t ops, const std::string &label)
+{
+    SpanBatch batch;
+    std::uint64_t seen = 0;
+    while (seen < ops) {
+        batch.clear();
+        const std::uint64_t got = spans.next_spans(batch, cap);
+        ASSERT_GT(got, 0u) << label;
+        ASSERT_LE(got, cap) << label;
+        const std::string mismatch = spans_mismatch(batch, got, ref);
+        ASSERT_EQ(mismatch, "") << label << ", batch at op " << seen;
+        seen += got;
+    }
+}
+
+} // namespace
+
+TEST(Spans, ExpandToTheNextStreamForEveryBenchmark)
+{
+    // 1M instructions cross every composite quantum (gcc's three
+    // phases rotate every 710K, vortex's every 530K, mesa's every
+    // 300K); cap 1 makes every span one instruction, cap 7 cuts
+    // bodies mid-way, 1000 lets the batch capacity cut them.
+    for (const std::string &name : kAllBenchmarks) {
+        for (const std::uint64_t cap : {1, 7, 64, 1000}) {
+            WorkloadPtr spans = make_benchmark(name);
+            WorkloadPtr ref = make_benchmark(name);
+            expect_stream_matches_next(*spans, *ref, cap, 1'000'000,
+                                       name + " cap " + std::to_string(cap));
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(Spans, CompositeCapsChildrenAtTheQuantum)
+{
+    // Quanta of 13 and 29 instructions land mid-block and mid-body at
+    // every cap, so spans are cut at quantum boundaries constantly.
+    auto make = [] {
+        std::vector<DataPatternPtr> loop_patterns;
+        loop_patterns.push_back(make_random(0x100000, 1 << 16, 8, 3));
+        std::vector<NodeSpec> body;
+        body.push_back(NodeSpec::make_loop(
+            2, 5, {NodeSpec::make_block({11, 0.5, 0.3, 0}),
+                   NodeSpec::make_block({6, 0.0, 0.0, -1})}));
+        std::vector<DataPatternPtr> graph_patterns;
+        graph_patterns.push_back(make_sequential(0x200000, 1 << 14, 8));
+        graph_patterns.push_back(make_stack(0x7fff0000, 4096, 9));
+        CallGraphSpec spec;
+        spec.num_functions = 12;
+        spec.min_instrs = 3;
+        spec.max_instrs = 40;
+        std::vector<CompositeWorkload::Phase> phases;
+        phases.push_back({std::make_unique<LoopProgram>(
+                              "loops", 0x1000, std::move(body),
+                              std::move(loop_patterns), 5),
+                          13});
+        phases.push_back({std::make_unique<CallGraphProgram>(
+                              "calls", 0x80000, spec,
+                              std::move(graph_patterns), 6),
+                          29});
+        return std::make_unique<CompositeWorkload>("mix", std::move(phases));
+    };
+    for (const std::uint64_t cap : {1, 7, 64, 1000}) {
+        auto spans = make();
+        auto ref = make();
+        expect_stream_matches_next(*spans, *ref, cap, 100'000,
+                                   "cap " + std::to_string(cap));
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(Spans, DefaultSpansFollowTheFourByteStep)
+{
+    // A workload with only next(): consecutive 4-byte steps share a
+    // span, any other PC starts a new one, and memory ops keep their
+    // offsets.
+    std::vector<MicroOp> ops;
+    for (Pc pc : {0x100, 0x104, 0x108, 0x10a, 0x10e, 0x200, 0x208}) {
+        MicroOp op;
+        op.pc = pc;
+        ops.push_back(op);
+    }
+    ops[2].kind = InstrKind::Load;
+    ops[2].addr = 0x9000;
+    ops[4].kind = InstrKind::Store;
+    ops[4].addr = 0x9008;
+    fixtures::ScriptedWorkload w(ops);
+    SpanBatch batch;
+    EXPECT_EQ(w.next_spans(batch, 100), 7u);
+    ASSERT_EQ(batch.spans, 4u);
+    EXPECT_EQ(batch.span[0].pc, 0x100u);
+    EXPECT_EQ(batch.span[0].instrs, 3u);
+    EXPECT_EQ(batch.span[0].mems, 1u);
+    EXPECT_EQ(batch.span[1].pc, 0x10au);
+    EXPECT_EQ(batch.span[1].instrs, 2u);
+    EXPECT_EQ(batch.span[1].mems, 1u);
+    EXPECT_EQ(batch.span[2].instrs, 1u);
+    EXPECT_EQ(batch.span[3].pc, 0x208u);
+    ASSERT_EQ(batch.mems, 2u);
+    EXPECT_EQ(batch.mem_slot[0], SpanBatch::slot(2, false));
+    EXPECT_EQ(batch.mem_slot[1], SpanBatch::slot(1, true));
+    EXPECT_EQ(batch.mem_addr[1], 0x9008u);
+
+    batch.clear();
+    EXPECT_EQ(w.next_spans(batch, 100), 0u); // exhausted
+    EXPECT_EQ(batch.spans, 0u);
+}
+
+TEST(Workload, NextBatchReproducesNext)
+{
+    // next_batch expands spans; whatever the batch size, the ops are
+    // next()'s, and a batch never runs the stream ahead of its size.
+    for (const std::string &name : kAllBenchmarks) {
+        for (const std::size_t size : {1, 7, 64, 1000}) {
+            WorkloadPtr batched = make_benchmark(name);
+            WorkloadPtr ref = make_benchmark(name);
+            std::vector<MicroOp> ops(size);
+            for (std::uint64_t seen = 0; seen < 200'000; seen += size) {
+                ASSERT_EQ(batched->next_batch(ops.data(), size), size)
+                    << name;
+                for (std::size_t i = 0; i < size; ++i) {
+                    MicroOp want;
+                    ref->next(want);
+                    if (ops[i].pc != want.pc || ops[i].kind != want.kind ||
+                        ops[i].addr != want.addr) {
+                        FAIL() << name << " size " << size << " op "
+                               << seen + i;
+                    }
+                }
+            }
+        }
+    }
+
+    // A finite stream: a short last batch, then nothing.
+    std::vector<MicroOp> script(10);
+    for (std::size_t i = 0; i < script.size(); ++i)
+        script[i].pc = 0x400 + 4 * i;
+    fixtures::ScriptedWorkload w(script);
+    std::vector<MicroOp> ops(7);
+    EXPECT_EQ(w.next_batch(ops.data(), 7), 7u);
+    EXPECT_EQ(w.next_batch(ops.data(), 7), 3u);
+    EXPECT_EQ(ops[2].pc, 0x424u);
+    EXPECT_EQ(w.next_batch(ops.data(), 7), 0u);
 }

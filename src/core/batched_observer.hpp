@@ -50,8 +50,7 @@ class BatchedObserver
                     interval::IntervalCollector *dcollector,
                     prefetch::StridePredictor *stride, Cycles nl_lead_time)
         : iline_shift_(config.l1i.line_shift()),
-          dline_shift_(config.l1d.line_shift()),
-          dline_(config.l1d.line_bytes), icollector_(icollector),
+          dline_shift_(config.l1d.line_shift()), icollector_(icollector),
           dcollector_(dcollector), stride_(stride), nl_lead_(nl_lead_time)
     {
     }
@@ -157,7 +156,7 @@ class BatchedObserver
                 continue;
             }
             const Addr block = r.addr >> dline_shift_;
-            const bool stride_hit = stride_->access(r.pc, r.addr, dline_);
+            const bool stride_hit = stride_->access(r.pc, r.addr);
             bool nl = false;
             Cycle since = 0;
             if (dcollector_->open_since(r.frame, since))
@@ -170,7 +169,6 @@ class BatchedObserver
 
     std::uint32_t iline_shift_;
     std::uint32_t dline_shift_;
-    std::uint32_t dline_; ///< line size the stride predictor keys on
     interval::IntervalCollector *icollector_;
     interval::IntervalCollector *dcollector_;
     prefetch::StridePredictor *stride_;

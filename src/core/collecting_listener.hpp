@@ -32,8 +32,7 @@ class CollectingListener final : public cpu::AccessListener
                        prefetch::StridePredictor *stride,
                        Cycles nl_lead_time)
         : iline_shift_(config.l1i.line_shift()),
-          dline_shift_(config.l1d.line_shift()),
-          dline_(config.l1d.line_bytes), icollector_(icollector),
+          dline_shift_(config.l1d.line_shift()), icollector_(icollector),
           dcollector_(dcollector), stride_(stride), nl_lead_(nl_lead_time)
     {
     }
@@ -58,7 +57,7 @@ class CollectingListener final : public cpu::AccessListener
                    const sim::HierarchyResult &result) override
     {
         const Addr block = addr >> dline_shift_;
-        const bool stride_hit = stride_->access(pc, addr, dline_);
+        const bool stride_hit = stride_->access(pc, addr);
         bool nl = false;
         Cycle since;
         if (dcollector_->open_since(result.l1.frame, since))
@@ -89,7 +88,6 @@ class CollectingListener final : public cpu::AccessListener
 
     std::uint32_t iline_shift_;
     std::uint32_t dline_shift_;
-    std::uint32_t dline_; ///< line size the stride predictor keys on
     interval::IntervalCollector *icollector_;
     interval::IntervalCollector *dcollector_;
     interval::IntervalCollector *l2collector_ = nullptr;

@@ -15,18 +15,32 @@ namespace leakbound::interval {
 IntervalCollector::IntervalCollector(std::uint64_t num_frames,
                                      IntervalHistogramSet *sink,
                                      bool keep_raw)
-    : frames_(num_frames), sink_(sink), keep_raw_(keep_raw)
+    : stamps_(num_frames), sink_(sink), keep_raw_(keep_raw)
 {
     LEAKBOUND_ASSERT(sink_ != nullptr, "collector needs a sink");
     LEAKBOUND_ASSERT(num_frames > 0, "collector needs frames");
+    view_ = sink_->write_view();
 }
 
 void
-IntervalCollector::emit(const Interval &iv)
+IntervalCollector::keep(std::size_t slot, Cycles length)
 {
-    sink_->add(iv);
-    if (keep_raw_)
-        raw_.push_back(iv);
+    Interval iv;
+    iv.length = length;
+    if (slot < IntervalHistogramSet::kInnerSlots) {
+        iv.kind = IntervalKind::Inner;
+        iv.pf = static_cast<PrefetchClass>(slot / 2);
+        iv.ends_in_reuse = slot % 2 != 0;
+    } else {
+        iv.kind = slot == IntervalHistogramSet::kLeadingSlot
+                      ? IntervalKind::Leading
+                  : slot == IntervalHistogramSet::kTrailingSlot
+                      ? IntervalKind::Trailing
+                      : IntervalKind::Untouched;
+        iv.pf = PrefetchClass::NonPrefetchable;
+        iv.ends_in_reuse = false;
+    }
+    raw_.push_back(iv);
 }
 
 void
@@ -34,35 +48,33 @@ IntervalCollector::finalize(Cycle end_cycle)
 {
     LEAKBOUND_ASSERT(!finalized_, "finalize() called twice");
     finalized_ = true;
-    for (const FrameState &fs : frames_) {
-        Interval iv;
-        iv.pf = PrefetchClass::NonPrefetchable;
-        iv.ends_in_reuse = false;
-        if (!fs.touched) {
-            iv.kind = IntervalKind::Untouched;
-            iv.length = end_cycle;
-        } else {
-            LEAKBOUND_ASSERT(end_cycle >= fs.last_access,
+    for (const std::uint64_t stamp : stamps_) {
+        std::size_t slot = IntervalHistogramSet::kUntouchedSlot;
+        Cycles length = end_cycle;
+        if (stamp != 0) {
+            LEAKBOUND_ASSERT(end_cycle >= stamp - 1,
                              "end_cycle before last access");
-            iv.kind = IntervalKind::Trailing;
-            iv.length = end_cycle - fs.last_access;
+            slot = IntervalHistogramSet::kTrailingSlot;
+            length = end_cycle - (stamp - 1);
         }
-        emit(iv);
+        view_.add(slot, length);
+        if (keep_raw_)
+            keep(slot, length);
     }
-    sink_->set_run_info(frames_.size(), end_cycle);
+    sink_->set_run_info(stamps_.size(), end_cycle);
 
     // Frame-time conservation (DESIGN.md §5): every frame's intervals
     // tile [0, end_cycle] exactly, so the sink must hold frames x
     // end_cycle cycles.  A stray, lost or mis-scaled interval anywhere
     // upstream breaks the sum; fail the job instead of shipping a
     // wrong bound.  O(bins), once per collector.
-    const std::uint64_t expected = frames_.size() * end_cycle;
+    const std::uint64_t expected = stamps_.size() * end_cycle;
     const std::uint64_t actual = sink_->total_length();
     if (actual != expected) {
         throw util::StatusError(util::Status(
             util::ErrorKind::Internal,
             "frame-time conservation violated: intervals of " +
-                std::to_string(frames_.size()) + " frames sum to " +
+                std::to_string(stamps_.size()) + " frames sum to " +
                 std::to_string(actual) + " cycles, expected " +
                 std::to_string(expected)));
     }

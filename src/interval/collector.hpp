@@ -9,6 +9,14 @@
  * IntervalHistogramSet and optionally retaining the raw intervals for
  * validation.
  *
+ * Per frame it keeps one 8-byte stamp, the frame's last access cycle
+ * + 1, with 0 meaning never touched (the encoding of
+ * prefetch::NextLineMonitor).  At construction it resolves its sink
+ * once into an IntervalHistogramSet::WriteView, so closing an interval
+ * is a short inline path: the slot by arithmetic, one bin lookup, one
+ * bin update.  Every run loop (core::BatchedObserver,
+ * core::CollectingListener, the multicore L2 banks) inlines it.
+ *
  * Prefetchability flags are computed by the caller (the experiment
  * glue), which owns the per-block last-access tables and the stride
  * predictor: next-line coverage must be judged against the block the
@@ -33,9 +41,9 @@
 namespace leakbound::interval {
 
 /**
- * Per-cache interval collector.  Drive it with on_access() /
- * mark_next_line() during simulation and call finalize() once at the
- * end; results accumulate in the sink histogram set.
+ * Per-cache interval collector.  Drive it with on_access() during
+ * simulation and call finalize() once at the end; results accumulate
+ * in the sink histogram set.
  */
 class IntervalCollector
 {
@@ -43,7 +51,8 @@ class IntervalCollector
     /**
      * @param num_frames physical frames in the observed cache
      * @param sink histogram set receiving the intervals (not owned;
-     *             must outlive the collector)
+     *             must outlive the collector; may be moved, not
+     *             replaced by a copy, while the collector writes it)
      * @param keep_raw also retain every Interval in raw() (test use;
      *             costs memory proportional to the access count)
      */
@@ -61,47 +70,45 @@ class IntervalCollector
      * @param nl_covered true when the line preceding the accessed
      *              block was touched inside the closing interval (a
      *              next-line prefetcher would have covered this access)
+     *
+     * Always inlined: it runs once per simulated access, and GCC's
+     * size heuristics otherwise leave it out of line in some run loops.
      */
-    void
+    [[gnu::always_inline]] void
     on_access(FrameId frame, Cycle cycle, bool reuse,
               bool stride_predicted, bool nl_covered)
     {
         LEAKBOUND_ASSERT(!finalized_, "access after finalize()");
-        LEAKBOUND_ASSERT(frame < frames_.size(), "frame id out of range");
-        FrameState &fs = frames_[frame];
+        LEAKBOUND_ASSERT(frame < stamps_.size(), "frame id out of range");
+        std::uint64_t &stamp = stamps_[frame];
         ++num_accesses_;
 
-        Interval iv;
-        if (!fs.touched) {
+        std::size_t slot;
+        Cycles length;
+        if (stamp == 0) {
             // Close the Leading interval: power-on to first access.
             // The first access is a compulsory fill; no prefetch
             // class, no CD.
-            iv.kind = IntervalKind::Leading;
-            iv.length = cycle;
-            iv.pf = PrefetchClass::NonPrefetchable;
-            iv.ends_in_reuse = false;
+            slot = IntervalHistogramSet::kLeadingSlot;
+            length = cycle;
         } else {
-            LEAKBOUND_ASSERT(cycle >= fs.last_access,
+            LEAKBOUND_ASSERT(cycle >= stamp - 1,
                              "accesses must be time-ordered per frame");
-            iv.kind = IntervalKind::Inner;
-            iv.length = cycle - fs.last_access;
-            // Next-line coverage takes precedence; stride catches the
-            // non-sequential patterns next-line misses (paper Section
-            // 5.2 counts them disjointly the same way).
-            if (nl_covered)
-                iv.pf = PrefetchClass::NextLine;
-            else if (stride_predicted)
-                iv.pf = PrefetchClass::Stride;
-            else
-                iv.pf = PrefetchClass::NonPrefetchable;
-            iv.ends_in_reuse = reuse;
+            length = cycle - (stamp - 1);
+            // Inner slot pf * 2 + reuse.  Next-line coverage takes
+            // precedence; stride catches the non-sequential patterns
+            // next-line misses (paper Section 5.2 counts them
+            // disjointly the same way).
+            const PrefetchClass pf = nl_covered ? PrefetchClass::NextLine
+                                     : stride_predicted
+                                         ? PrefetchClass::Stride
+                                         : PrefetchClass::NonPrefetchable;
+            slot = static_cast<std::size_t>(pf) * 2 + (reuse ? 1 : 0);
         }
-
-        fs.touched = true;
-        fs.last_access = cycle;
-        sink_->add(iv);
+        stamp = cycle + 1;
+        view_.add(slot, length);
         if (keep_raw_)
-            raw_.push_back(iv);
+            keep(slot, length);
     }
 
     /**
@@ -111,11 +118,11 @@ class IntervalCollector
     bool
     open_since(FrameId frame, Cycle &since) const
     {
-        LEAKBOUND_ASSERT(frame < frames_.size(), "frame id out of range");
-        const FrameState &fs = frames_[frame];
-        if (!fs.touched)
+        LEAKBOUND_ASSERT(frame < stamps_.size(), "frame id out of range");
+        const std::uint64_t stamp = stamps_[frame];
+        if (stamp == 0)
             return false;
-        since = fs.last_access;
+        since = stamp - 1;
         return true;
     }
 
@@ -137,16 +144,13 @@ class IntervalCollector
     std::uint64_t num_accesses() const { return num_accesses_; }
 
   private:
-    struct FrameState
-    {
-        Cycle last_access = 0;
-        bool touched = false;
-    };
+    /** Append the interval just recorded in @p slot to raw_. */
+    void keep(std::size_t slot, Cycles length);
 
-    void emit(const Interval &iv);
-
-    std::vector<FrameState> frames_;
+    /** Last access + 1 of each frame; 0 = never touched. */
+    std::vector<std::uint64_t> stamps_;
     IntervalHistogramSet *sink_;
+    IntervalHistogramSet::WriteView view_;
     bool keep_raw_;
     bool finalized_ = false;
     std::uint64_t num_accesses_ = 0;

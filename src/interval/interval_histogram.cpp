@@ -12,17 +12,6 @@
 
 namespace leakbound::interval {
 
-namespace {
-
-/** Slots: 6 Inner combinations + Leading + Trailing + Untouched. */
-constexpr std::size_t kInnerSlots = kNumPrefetchClasses * 2;
-constexpr std::size_t kLeadingSlot = kInnerSlots;
-constexpr std::size_t kTrailingSlot = kInnerSlots + 1;
-constexpr std::size_t kUntouchedSlot = kInnerSlots + 2;
-constexpr std::size_t kNumSlots = kInnerSlots + 3;
-
-} // namespace
-
 IntervalHistogramSet::IntervalHistogramSet(std::vector<std::uint64_t> edges)
     : index_(util::EdgeIndex::make(std::move(edges)))
 {
@@ -39,6 +28,16 @@ IntervalHistogramSet::with_default_edges(
     const std::vector<Cycles> &extra_thresholds)
 {
     return IntervalHistogramSet(default_edges(extra_thresholds));
+}
+
+IntervalHistogramSet::WriteView
+IntervalHistogramSet::write_view()
+{
+    WriteView view;
+    view.index = index_.get();
+    for (std::size_t i = 0; i < kNumSlots; ++i)
+        view.bins[i] = hists_[i].raw_bins();
+    return view;
 }
 
 void

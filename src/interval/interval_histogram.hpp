@@ -49,6 +49,40 @@ struct CellRef
 class IntervalHistogramSet
 {
   public:
+    /**
+     * Histogram slots.  Inner intervals use slots [0, kInnerSlots) =
+     * pf * 2 + reuse; Leading, Trailing and Untouched follow.
+     */
+    static constexpr std::size_t kInnerSlots = kNumPrefetchClasses * 2;
+    static constexpr std::size_t kLeadingSlot = kInnerSlots;
+    static constexpr std::size_t kTrailingSlot = kInnerSlots + 1;
+    static constexpr std::size_t kUntouchedSlot = kInnerSlots + 2;
+    static constexpr std::size_t kNumSlots = kInnerSlots + 3;
+
+    /**
+     * Write access to the nine histograms, resolved once: each slot's
+     * bin array and the shared edge index.  The simulation kernel's
+     * sink (IntervalCollector): recording an interval is one bin lookup
+     * and one bin update, with no indirection through the set.  The
+     * view points at storage the histograms own, so it stays valid
+     * while the set lives, moves included; a copy of the set has bins
+     * of its own, which a view of the original does not reach.
+     */
+    struct WriteView
+    {
+        const util::EdgeIndex *index = nullptr;
+        std::array<util::HistBin *, kNumSlots> bins{};
+
+        /** Record one interval of @p length in @p slot. */
+        void
+        add(std::size_t slot, Cycles length) const
+        {
+            util::HistBin &b = bins[slot][index->bin_index(length)];
+            ++b.count;
+            b.sum += length;
+        }
+    };
+
     /** Construct with explicit bin edges (must include 0). */
     explicit IntervalHistogramSet(std::vector<std::uint64_t> edges);
 
@@ -56,12 +90,15 @@ class IntervalHistogramSet
     static IntervalHistogramSet
     with_default_edges(const std::vector<Cycles> &extra_thresholds = {});
 
-    /** Record one interval (inline — the simulation kernel's sink). */
+    /** Record one interval. */
     void
     add(const Interval &iv)
     {
         hists_[slot(iv.kind, iv.pf, iv.ends_in_reuse)].add(iv.length);
     }
+
+    /** A write view of this set (see WriteView for its lifetime). */
+    WriteView write_view();
 
     /** Merge a set with identical edges. */
     void merge(const IntervalHistogramSet &other);
@@ -135,10 +172,7 @@ class IntervalHistogramSet
     default_edges(const std::vector<Cycles> &extra_thresholds = {});
 
   private:
-    /**
-     * Histogram slot index for (kind, pf, reuse): Inner intervals use
-     * slots pf * 2 + reuse, then Leading / Trailing / Untouched.
-     */
+    /** Histogram slot of (kind, pf, reuse); see kInnerSlots. */
     static std::size_t
     slot(IntervalKind kind, PrefetchClass pf, bool reuse)
     {
@@ -146,21 +180,18 @@ class IntervalHistogramSet
           case IntervalKind::Inner:
             return static_cast<std::size_t>(pf) * 2 + (reuse ? 1 : 0);
           case IntervalKind::Leading:
-            return kNumPrefetchClasses * 2;
+            return kLeadingSlot;
           case IntervalKind::Trailing:
-            return kNumPrefetchClasses * 2 + 1;
+            return kTrailingSlot;
           case IntervalKind::Untouched:
-            return kNumPrefetchClasses * 2 + 2;
+            return kUntouchedSlot;
         }
         LEAKBOUND_PANIC("unreachable: bad IntervalKind");
     }
 
     /** One O(1) edge index shared by all nine histograms. */
     std::shared_ptr<const util::EdgeIndex> index_;
-    /**
-     * Inner intervals use slots [0, 6) = pf * 2 + reuse; Leading,
-     * Trailing, Untouched use slots 6, 7, 8.
-     */
+    /** One histogram per slot (kNumSlots of them). */
     std::vector<util::Histogram> hists_;
     std::uint64_t num_frames_ = 0;
     Cycles total_cycles_ = 0;

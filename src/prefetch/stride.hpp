@@ -38,31 +38,31 @@ class StridePredictor
 
     /**
      * Observe a load/store by instruction @p pc to byte address
-     * @p addr.  @return true when a twice-confirmed stride predicted
-     * an address in the same cache line of @p line_bytes granularity.
-     * Header-inline: this is a per-memory-op call on the simulation
-     * kernel's hot path.
+     * @p addr.  @return true when the access extends the run: its
+     * stride from the PC's last address equals the stride already seen
+     * at least `confirmations` times.  The predictor would have
+     * issued exactly last address + stride, which is @p addr, so an
+     * address off the stride is never covered, even on the predicted
+     * line, and the answer is the same at every line size.
+     * @p line_bytes is therefore unused; it stays for callers that
+     * still pass it.  Header-inline: this is a per-memory-op call on
+     * the simulation kernel's hot path.
      */
     bool
-    access(Pc pc, Addr addr, std::uint32_t line_bytes = 64)
+    access(Pc pc, Addr addr, std::uint32_t /*line_bytes*/ = 64)
     {
         ++observed_;
         Entry &e = slot_for(pc);
 
         bool predicted = false;
         if (e.valid && e.tag == pc) {
-            const std::int64_t stride =
-                static_cast<std::int64_t>(addr) -
-                static_cast<std::int64_t>(e.last_addr);
+            // Modulo 2^64: equal to the signed difference wherever that
+            // does not overflow, and defined where it would.
+            const Addr stride = addr - e.last_addr;
             // Prediction check happens against the state *before* this
-            // access: the predictor would have issued last_addr + stride.
-            if (e.confidence >= config_.confirmations &&
-                stride == e.stride) {
-                const Addr predicted_addr = static_cast<Addr>(
-                    static_cast<std::int64_t>(e.last_addr) + e.stride);
-                predicted =
-                    (predicted_addr / line_bytes) == (addr / line_bytes);
-            }
+            // access.
+            predicted = e.confidence >= config_.confirmations &&
+                        stride == e.stride;
             // Learn.
             if (stride == e.stride) {
                 if (e.confidence < ~0u)
@@ -100,7 +100,7 @@ class StridePredictor
     {
         Pc tag = 0;
         Addr last_addr = 0;
-        std::int64_t stride = 0;
+        Addr stride = 0; ///< last address difference, modulo 2^64
         std::uint32_t confidence = 0;
         bool valid = false;
     };

@@ -90,6 +90,14 @@ class Histogram
     /** Bin contents. */
     const HistBin &bin(std::size_t i) const;
 
+    /**
+     * The bin array itself (num_bins() entries), for a writer that
+     * bins through edge_index() on its own (the write view of
+     * interval::IntervalHistogramSet).  It lives as long as the
+     * histogram, moves included; a copy has an array of its own.
+     */
+    HistBin *raw_bins() { return bins_.data(); }
+
     /** Index of the bin containing @p value. */
     std::size_t bin_index(std::uint64_t value) const
     {

@@ -32,6 +32,12 @@
  *    streams of record, covers, append_state and reset, asserting every
  *    answer and snapshot.
  *
+ *  - Interval collection: interval::IntervalCollector (one stamp per
+ *    frame, bins written through a set's write view) against the
+ *    per-frame oracle (reference_collector.hpp) over seeded access
+ *    streams, asserting every open_since answer and access count, and
+ *    after finalize the serialized set and the raw intervals.
+ *
  *  - Span fetch: cpu::InOrderCore against the per-op run loop
  *    (reference_core.hpp) over random scripted programs (PC jumps,
  *    I-line crossings, 2/4/8-byte PC steps) and the nine benchmark
@@ -51,8 +57,10 @@
 #include "core/experiment.hpp"
 #include "core_fixtures.hpp"
 #include "cpu/inorder_core.hpp"
+#include "interval/collector.hpp"
 #include "prefetch/next_line.hpp"
 #include "reference_cache.hpp"
+#include "reference_collector.hpp"
 #include "reference_core.hpp"
 #include "reference_next_line.hpp"
 #include "sim/cache.hpp"
@@ -675,6 +683,95 @@ TEST(NextLine, PagedMatchesReference)
         reference.append_state(rs, now);
         EXPECT_EQ(ps, rs) << "stream " << stream;
         EXPECT_GT(covered_answers, 0u) << "stream " << stream;
+    }
+}
+
+/**
+ * The stamp-based collector against the per-frame oracle.  Streams
+ * draw 1-2048 frames, cycles from 0 with many repeats (accesses at
+ * cycle 0, zero-length intervals) and rare long jumps (tail bins),
+ * random reuse/stride/next-line flags, and keep_raw on and off.  Every
+ * step compares open_since on the accessed frame and on a random one,
+ * and num_accesses(); finalize at a random end cycle must leave
+ * byte-identical serialized sets and equal raw intervals.
+ */
+TEST(CollectorLockstep, StampsMatchReference)
+{
+    constexpr std::uint64_t kStreams = 64;
+    for (std::uint64_t stream = 1; stream <= kStreams; ++stream) {
+        util::Rng rng(stream * 0x9e3779b97f4a7c15ULL + 29);
+        const std::uint64_t frames =
+            rng.next_bool(0.25) ? 1 + rng.next_below(4)
+                                : 1 + rng.next_below(2048);
+        const bool keep_raw = rng.next_bool(0.5);
+        const auto edges = interval::IntervalHistogramSet::default_edges(
+            rng.next_bool(0.5) ? standard_extra_edges()
+                               : std::vector<Cycles>{});
+        interval::IntervalHistogramSet set(edges), reference_set(edges);
+        interval::IntervalCollector collector(frames, &set, keep_raw);
+        oracle::ReferenceCollector reference(frames, &reference_set,
+                                             keep_raw);
+
+        auto check_open = [&](FrameId frame, std::uint64_t step) {
+            Cycle since = 0, reference_since = 0;
+            const bool open = collector.open_since(frame, since);
+            ASSERT_EQ(open, reference.open_since(frame, reference_since))
+                << "stream " << stream << " step " << step << " frame "
+                << frame;
+            if (open) {
+                ASSERT_EQ(since, reference_since)
+                    << "stream " << stream << " step " << step
+                    << " frame " << frame;
+            }
+        };
+
+        Cycle now = 0;
+        const std::uint64_t steps = 1 + rng.next_below(6000);
+        for (std::uint64_t step = 0; step < steps; ++step) {
+            const std::uint64_t gap = rng.next_below(100);
+            if (gap >= 97)
+                now += rng.next_below(std::uint64_t{1} << 36);
+            else if (gap >= 40)
+                now += rng.next_below(1200);
+            else if (gap >= 20)
+                now += 1;
+            const FrameId frame =
+                rng.next_bool(0.1) ? 0 : rng.next_below(frames);
+            const bool reuse = rng.next_bool(0.5);
+            const bool stride = rng.next_bool(0.3);
+            const bool nl = rng.next_bool(0.3);
+            collector.on_access(frame, now, reuse, stride, nl);
+            reference.on_access(frame, now, reuse, stride, nl);
+            check_open(frame, step);
+            check_open(rng.next_below(frames), step);
+            if (HasFatalFailure())
+                return;
+            ASSERT_EQ(collector.num_accesses(), reference.num_accesses())
+                << "stream " << stream << " step " << step;
+        }
+
+        const Cycle end =
+            now + (rng.next_bool(0.3) ? 0 : rng.next_below(5000));
+        collector.finalize(end);
+        reference.finalize(end);
+        util::BinaryWriter out, reference_out;
+        set.serialize(out);
+        reference_set.serialize(reference_out);
+        EXPECT_TRUE(out.bytes() == reference_out.bytes())
+            << "stream " << stream << ": serialized sets differ";
+
+        const auto &raw = collector.raw();
+        const auto &reference_raw = reference.raw();
+        ASSERT_EQ(raw.size(), reference_raw.size()) << "stream " << stream;
+        EXPECT_EQ(raw.empty(), !keep_raw) << "stream " << stream;
+        for (std::size_t i = 0; i < raw.size(); ++i) {
+            ASSERT_TRUE(raw[i].length == reference_raw[i].length &&
+                        raw[i].kind == reference_raw[i].kind &&
+                        raw[i].pf == reference_raw[i].pf &&
+                        raw[i].ends_in_reuse ==
+                            reference_raw[i].ends_in_reuse)
+                << "stream " << stream << " raw interval " << i;
+        }
     }
 }
 

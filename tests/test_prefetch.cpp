@@ -13,6 +13,7 @@
 #include "prefetch/next_line.hpp"
 #include "prefetch/prefetchability.hpp"
 #include "prefetch/stride.hpp"
+#include "util/random.hpp"
 
 using namespace leakbound;
 using namespace leakbound::prefetch;
@@ -62,14 +63,59 @@ TEST(Stride, NegativeStridesWork)
 
 TEST(Stride, SubLinePredictionCountsByLine)
 {
-    // An 8-byte stride predicts the right line almost always; the
-    // check is at line granularity (the prefetcher fetches lines).
+    // A confirmed 8-byte stride covers the next access on it: the
+    // predicted address is the accessed one, so its line matches too.
     StridePredictor p;
     const Pc pc = 0x4000;
     p.access(pc, 0x1000);
     p.access(pc, 0x1008);
     p.access(pc, 0x1010);
     EXPECT_TRUE(p.access(pc, 0x1018, 64));
+}
+
+TEST(Stride, SameLineOffStrideIsNotCovered)
+{
+    // Coverage is the exact stride: an access on the predicted line
+    // but off the predicted address breaks the run, at any line size.
+    for (const std::uint32_t line : {64u, 4096u}) {
+        StridePredictor p;
+        const Pc pc = 0x4000;
+        p.access(pc, 0x1000, line);
+        p.access(pc, 0x1040, line);
+        p.access(pc, 0x1080, line);
+        EXPECT_TRUE(p.access(pc, 0x10c0, line));
+        EXPECT_FALSE(p.access(pc, 0x1104, line)) << line; // 0x1100 + 4
+        EXPECT_EQ(p.covered(), 1u);
+    }
+}
+
+TEST(Stride, AnswersDoNotDependOnLineSize)
+{
+    // One random stream of strided runs, jumps and PC collisions,
+    // including addresses at and above 2^63, answered identically at
+    // line sizes 8, 64 and 4096.
+    util::Rng rng(0x5eed);
+    StridePredictor p8, p64, p4096;
+    Addr addr[4] = {0x1000, 0x8000'0000'0000'0000ULL,
+                    0xffff'ffff'ffff'ff00ULL, 0x40};
+    const std::int64_t strides[] = {8, 64, -64, 4, 4096, -8, 0, 72};
+    std::int64_t stride[4] = {8, 64, -64, 4};
+    std::uint64_t covered = 0;
+    for (int i = 0; i < 200'000; ++i) {
+        const std::size_t k = rng.next_below(4);
+        if (rng.next_bool(0.05))
+            stride[k] = strides[rng.next_below(8)];
+        if (rng.next_bool(0.01))
+            addr[k] = rng.next_u64();
+        addr[k] += static_cast<Addr>(stride[k]);
+        const Pc pc = 0x4000 + 4 * k;
+        const bool a = p8.access(pc, addr[k], 8);
+        ASSERT_EQ(a, p64.access(pc, addr[k], 64)) << "access " << i;
+        ASSERT_EQ(a, p4096.access(pc, addr[k], 4096)) << "access " << i;
+        covered += a;
+    }
+    EXPECT_GT(covered, 100'000u);
+    EXPECT_EQ(p8.covered(), covered);
 }
 
 TEST(Stride, DistinctPcsTrackIndependently)

@@ -35,7 +35,8 @@ shard_endpoint(const Endpoint &base, unsigned shard)
 {
     Endpoint endpoint = base;
     if (!endpoint.unix_path.empty()) {
-        endpoint.unix_path += "." + std::to_string(shard);
+        endpoint.unix_path += '.';
+        endpoint.unix_path += std::to_string(shard);
         return endpoint;
     }
     endpoint.tcp_port =

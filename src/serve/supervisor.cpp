@@ -72,8 +72,10 @@ run_shard_process(const SupervisorConfig &config, unsigned index,
                   int heartbeat_fd)
 {
     ServerConfig shard = config.shard;
-    if (!shard.unix_path.empty())
-        shard.unix_path += "." + std::to_string(index);
+    if (!shard.unix_path.empty()) {
+        shard.unix_path += '.';
+        shard.unix_path += std::to_string(index);
+    }
     if (shard.listen_tcp) {
         shard.tcp_port =
             static_cast<std::uint16_t>(shard.tcp_port + 1 + index);

@@ -8,6 +8,26 @@
  * We do not use std::mt19937 because its state is large and its
  * cross-platform distribution guarantees are weaker than doing the
  * range reduction ourselves.
+ *
+ * Range reduction is exact rejection sampling: a draw r is rejected
+ * while r < 2^64 mod bound and the value is r % bound, so every value
+ * in [0, bound) is equally likely.  Two things keep it off the divider
+ * without changing a value or the number of draws consumed:
+ *
+ *  - Lazy threshold.  2^64 mod bound is always below bound, so a draw
+ *    r >= bound is accepted without computing it; Rng::next_below
+ *    pays the second divide only when r < bound, which for the small
+ *    bounds the workloads use is almost never.
+ *  - FixedBound.  A bound fixed for an object's lifetime precomputes
+ *    the threshold and the 128-bit reciprocal ceil(2^128 / bound), and
+ *    reduces by direct remainder (Lemire, Kaser & Kurz, "Faster
+ *    Remainder by Direct Computation", 2019): with F = 128 fraction
+ *    bits the result equals r % bound for every 64-bit r and bound, so
+ *    a draw costs multiplies instead of a divide.
+ *
+ * Multiply-shift reduction ((r * bound) >> 64) would be cheaper still,
+ * but it maps draws to different values and would change every
+ * workload's stream.
  */
 
 #ifndef LEAKBOUND_UTIL_RANDOM_HPP
@@ -19,6 +39,50 @@
 #include "util/logging.hpp"
 
 namespace leakbound::util {
+
+/**
+ * A range bound fixed for an object's lifetime: Rng::next_below on a
+ * FixedBound consumes the same draws and returns the same values as on
+ * the bound it was built from, with the rejection threshold and the
+ * reciprocal computed once here instead of a divide per draw.
+ */
+class FixedBound
+{
+  public:
+    explicit FixedBound(std::uint64_t bound) : bound_(bound)
+    {
+        LEAKBOUND_ASSERT(bound != 0, "FixedBound(0)");
+        threshold_ = (0 - bound) % bound;
+        // ceil(2^128 / bound) = floor((2^128 - 1) / bound) + 1, which
+        // wraps to 0 for bound 1, where every remainder is 0 anyway.
+        reciprocal_ = ~Wide{0} / bound + 1;
+    }
+
+    /** Draws below this are rejected: 2^64 mod bound. */
+    std::uint64_t threshold() const { return threshold_; }
+
+    /** n % bound, by direct remainder. */
+    std::uint64_t
+    reduce(std::uint64_t n) const
+    {
+        // The top 64 bits of the 192-bit product of the bound and the
+        // fraction (reciprocal * n) mod 2^128, from two 64 x 64 -> 128
+        // products.
+        const Wide frac = reciprocal_ * n;
+        const Wide low = Wide{static_cast<std::uint64_t>(frac)} * bound_;
+        const Wide high = Wide{static_cast<std::uint64_t>(frac >> 64)} *
+                              bound_ +
+                          (low >> 64);
+        return static_cast<std::uint64_t>(high >> 64);
+    }
+
+  private:
+    using Wide = unsigned __int128;
+
+    std::uint64_t bound_;
+    std::uint64_t threshold_ = 0;
+    Wide reciprocal_ = 0;
+};
 
 /** SplitMix64 step; used to expand a 64-bit seed into generator state. */
 inline std::uint64_t
@@ -65,14 +129,25 @@ class Rng
     next_below(std::uint64_t bound)
     {
         LEAKBOUND_ASSERT(bound != 0, "next_below(0)");
-        // Lemire-style rejection-free-ish reduction with a single retry
-        // loop to remove modulo bias.
-        const std::uint64_t threshold = (~bound + 1) % bound;
-        for (;;) {
-            const std::uint64_t r = next_u64();
-            if (r >= threshold)
-                return r % bound;
+        // Reject r < 2^64 mod bound; that threshold is below bound, so
+        // it is computed only for a draw below bound.
+        std::uint64_t r = next_u64();
+        if (r < bound) {
+            const std::uint64_t threshold = (0 - bound) % bound;
+            while (r < threshold)
+                r = next_u64();
         }
+        return r % bound;
+    }
+
+    /** next_below on the bound @p bound was built from, without a divide. */
+    std::uint64_t
+    next_below(const FixedBound &bound)
+    {
+        std::uint64_t r = next_u64();
+        while (r < bound.threshold())
+            r = next_u64();
+        return bound.reduce(r);
     }
 
     /** Uniform draw in the closed range [lo, hi]. */

@@ -100,15 +100,21 @@ class StridedPattern final : public DataPattern
     std::uint64_t phase_ = 0;
 };
 
+std::uint64_t
+slot_count(std::uint64_t region, std::uint32_t align)
+{
+    LEAKBOUND_ASSERT(region / align > 0, "region smaller than alignment");
+    return region / align;
+}
+
 class RandomPattern final : public DataPattern
 {
   public:
     RandomPattern(Addr base, std::uint64_t region, std::uint32_t align,
                   std::uint64_t seed)
-        : base_(base), slots_(region / align), align_(align), seed_(seed),
-          rng_(seed)
+        : base_(base), slots_(slot_count(region, align)), align_(align),
+          seed_(seed), rng_(seed)
     {
-        LEAKBOUND_ASSERT(slots_ > 0, "region smaller than alignment");
     }
 
     Addr
@@ -128,7 +134,7 @@ class RandomPattern final : public DataPattern
 
   private:
     Addr base_;
-    std::uint64_t slots_;
+    util::FixedBound slots_; // a divide-free next_below(slots)
     std::uint32_t align_;
     std::uint64_t seed_;
     util::Rng rng_;
@@ -193,16 +199,19 @@ class StackPattern final : public DataPattern
     next() override
     {
         // Random walk of the current depth; references cluster near
-        // the top of the stack as real frames do.
-        if (rng_.next_bool(0.5)) {
-            if (pos_ + 1 < depth_)
-                ++pos_;
-        } else if (pos_ > 0) {
-            --pos_;
-        }
-        const std::uint64_t jitter = rng_.next_below(4);
+        // the top of the stack as real frames do.  The walk steps up
+        // when bit 63 of the first draw is clear, which is exactly
+        // next_bool(0.5): (u >> 11) * 2^-53 < 0.5 iff u < 2^63.  The
+        // jitter is the second draw's low two bits, exactly
+        // next_below(4), which rejects nothing because 4 divides 2^64.
+        // The step, the ends of the walk and the clamp at slot 0 are
+        // arithmetic, so no branch depends on a random bit.
+        const std::uint64_t up = ~rng_.next_u64() >> 63;
+        const std::uint64_t pos = pos_;
+        pos_ = pos + (up & (pos + 1 < depth_)) - ((up ^ 1) & (pos > 0));
+        const std::uint64_t jitter = rng_.next_u64() & 3;
         const std::uint64_t slot =
-            pos_ > jitter ? pos_ - jitter : 0;
+            (pos_ - jitter) & (0 - std::uint64_t{pos_ > jitter});
         return top_ - (slot + 1) * 8;
     }
 

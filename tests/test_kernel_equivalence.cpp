@@ -38,6 +38,11 @@
  *    streams, asserting every open_since answer and access count, and
  *    after finalize the serialized set and the raw intervals.
  *
+ *  - Draws: util::Rng::next_below (lazy threshold), util::FixedBound
+ *    (direct remainder) and the Random and Stack data patterns against
+ *    the per-draw oracle (reference_patterns.hpp) over seeded streams,
+ *    asserting every value and the number of raw draws consumed.
+ *
  *  - Span fetch: cpu::InOrderCore against the per-op run loop
  *    (reference_core.hpp) over random scripted programs (PC jumps,
  *    I-line crossings, 2/4/8-byte PC steps) and the nine benchmark
@@ -63,6 +68,7 @@
 #include "reference_collector.hpp"
 #include "reference_core.hpp"
 #include "reference_next_line.hpp"
+#include "reference_patterns.hpp"
 #include "sim/cache.hpp"
 #include "util/fingerprint.hpp"
 #include "util/random.hpp"
@@ -771,6 +777,174 @@ TEST(CollectorLockstep, StampsMatchReference)
                         raw[i].ends_in_reuse ==
                             reference_raw[i].ends_in_reuse)
                 << "stream " << stream << " raw interval " << i;
+        }
+    }
+}
+
+namespace {
+
+/**
+ * Range bounds for the draw tests: small ones, both neighbours of
+ * 2^32, the bounds around 2^63 and above 2^62 (where a draw is
+ * rejected up to half the time), 2^64 - 1, and one random bound of
+ * every bit width 1-64.
+ */
+std::vector<std::uint64_t>
+draw_bounds()
+{
+    constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+    constexpr std::uint64_t k62 = std::uint64_t{1} << 62;
+    constexpr std::uint64_t k63 = std::uint64_t{1} << 63;
+    std::vector<std::uint64_t> bounds = {1, 2, 3, 4, 5, 7, k32 - 1, k32 + 1,
+                                         k63 - 1, k63, k63 + 1, 3 * k62,
+                                         ~std::uint64_t{0}};
+    util::Rng rng(0x5eed'b0d5);
+    for (int width = 1; width <= 64; ++width) {
+        const std::uint64_t top = std::uint64_t{1} << (width - 1);
+        bounds.push_back(top | (rng.next_u64() & (top - 1)));
+    }
+    return bounds;
+}
+
+/**
+ * Draw @p pattern through next() and through fill(n) for n in
+ * {1, 7, 64, 255}, then again after reset(), against @p make(), a
+ * fresh reference stream.
+ */
+template <typename MakeReference>
+void
+expect_same_addresses(workload::DataPattern &pattern,
+                      const MakeReference &make, const std::string &what)
+{
+    std::vector<Addr> filled(255);
+    for (int pass = 0; pass < 2; ++pass) {
+        auto reference = make();
+        for (int round = 0; round < 4; ++round) {
+            for (int i = 0; i < 64; ++i) {
+                ASSERT_EQ(pattern.next(), reference.next())
+                    << what << " pass " << pass << " round " << round
+                    << " next() " << i;
+            }
+            for (const std::size_t n : {1, 7, 64, 255}) {
+                pattern.fill(filled.data(), n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    ASSERT_EQ(filled[i], reference.next())
+                        << what << " pass " << pass << " round " << round
+                        << " fill(" << n << ")[" << i << "]";
+                }
+            }
+        }
+        pattern.reset();
+    }
+}
+
+} // namespace
+
+/**
+ * next_below with the lazy threshold against the per-call threshold
+ * (reference_patterns.hpp): every value, and the raw draw after every
+ * call, so a call that consumed one draw more or less fails at once.
+ */
+TEST(DrawLockstep, NextBelowMatchesReference)
+{
+    for (const std::uint64_t bound : draw_bounds()) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            util::Rng rng(seed * 0x9e3779b97f4a7c15ULL ^ bound);
+            util::Rng reference = rng;
+            for (int i = 0; i < 1000; ++i) {
+                ASSERT_EQ(rng.next_below(bound),
+                          oracle::reference_next_below(reference, bound))
+                    << "bound " << bound << " seed " << seed << " draw "
+                    << i;
+                ASSERT_EQ(rng.next_u64(), reference.next_u64())
+                    << "draws consumed differ: bound " << bound << " seed "
+                    << seed << " draw " << i;
+            }
+        }
+    }
+}
+
+/**
+ * FixedBound's direct remainder against %, at the edge numerators (0,
+ * 1, b - 1, b, b + 1, 2b - 1, 2^64 - 1, both sides of random multiples
+ * of b) and random ones, and its draws against the reference like
+ * next_below's.
+ */
+TEST(DrawLockstep, FixedBoundMatchesModulo)
+{
+    util::Rng numerators(0xf1'0ed);
+    for (const std::uint64_t b : draw_bounds()) {
+        const util::FixedBound fixed(b);
+        ASSERT_EQ(fixed.threshold(), (0 - b) % b) << "bound " << b;
+
+        std::vector<std::uint64_t> ns = {
+            0, 1, b - 1, b, b + 1, 2 * b - 1, ~std::uint64_t{0}};
+        for (int i = 0; i < 2000; ++i) {
+            const std::uint64_t r = numerators.next_u64();
+            const std::uint64_t multiple = r - r % b;
+            ns.push_back(multiple - 1);
+            ns.push_back(multiple);
+            ns.push_back(multiple + 1);
+            ns.push_back(numerators.next_u64());
+        }
+        for (const std::uint64_t n : ns)
+            ASSERT_EQ(fixed.reduce(n), n % b) << "bound " << b << " n " << n;
+
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            util::Rng rng(seed * 0x9e3779b97f4a7c15ULL ^ ~b);
+            util::Rng reference = rng;
+            for (int i = 0; i < 500; ++i) {
+                ASSERT_EQ(rng.next_below(fixed),
+                          oracle::reference_next_below(reference, b))
+                    << "bound " << b << " seed " << seed << " draw " << i;
+                ASSERT_EQ(rng.next_u64(), reference.next_u64())
+                    << "draws consumed differ: bound " << b << " seed "
+                    << seed << " draw " << i;
+            }
+        }
+    }
+}
+
+/**
+ * make_random and make_stack against the reference patterns, through
+ * next(), fill() and reset(): slot counts 1, odd, 2^k and 3 * 2^k (the
+ * paper workloads' tables are 2^k and 3 * 2^k slots) at 4- and 8-byte
+ * alignment, and stack depths of one slot (8 bytes), two slots and the
+ * workloads' 2 KiB.
+ */
+TEST(DrawLockstep, PatternsMatchReference)
+{
+    const std::uint64_t slot_counts[] = {1,       3,       61,     1021,
+                                         64,      1 << 12, 1 << 17, 3 << 6,
+                                         3 << 8,  3 << 14};
+    const std::uint64_t depths[] = {8, 16, 2 << 10};
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        for (const std::uint64_t slots : slot_counts) {
+            for (const std::uint32_t align : {4u, 8u}) {
+                const Addr base = kHeapBase + seed * (1 << 24);
+                auto pattern =
+                    workload::make_random(base, slots * align, align, seed);
+                ASSERT_NO_FATAL_FAILURE(expect_same_addresses(
+                    *pattern,
+                    [&] {
+                        return oracle::ReferenceRandomPattern(
+                            base, slots * align, align, seed);
+                    },
+                    "random slots " + std::to_string(slots) + " align " +
+                        std::to_string(align) + " seed " +
+                        std::to_string(seed)));
+            }
+        }
+        for (const std::uint64_t depth : depths) {
+            const Addr top = 0x7fff'0000 - seed * (1 << 20);
+            auto pattern = workload::make_stack(top, depth, seed);
+            ASSERT_NO_FATAL_FAILURE(expect_same_addresses(
+                *pattern,
+                [&] {
+                    return oracle::ReferenceStackPattern(top, depth, seed);
+                },
+                "stack depth " + std::to_string(depth) + " seed " +
+                    std::to_string(seed)));
         }
     }
 }

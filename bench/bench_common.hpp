@@ -388,14 +388,13 @@ run_suite_reported(const std::vector<std::string> &names,
 }
 
 /**
- * Print @p table and, when --csv-dir / --json were given, mirror it to
- * <csv-dir>/<slug>.csv / the JSON report.
+ * When --csv-dir / --json were given, mirror @p table to
+ * <csv-dir>/<slug>.csv / the JSON report without printing it.
  */
 inline void
-emit(const util::Table &table, const util::Cli &cli,
-     const std::string &slug)
+mirror(const util::Table &table, const util::Cli &cli,
+       const std::string &slug)
 {
-    table.print();
     const std::string dir = cli.get("csv-dir");
     if (!dir.empty()) {
         const std::string path = dir + "/" + slug + ".csv";
@@ -418,6 +417,15 @@ emit(const util::Table &table, const util::Cli &cli,
             dump.rows.push_back(row);
     report().tables.push_back(std::move(dump));
     flush_report(cli);
+}
+
+/** Print @p table and mirror it (see mirror()). */
+inline void
+emit(const util::Table &table, const util::Cli &cli,
+     const std::string &slug)
+{
+    table.print();
+    mirror(table, cli, slug);
 }
 
 /**

@@ -7,6 +7,8 @@
  *
  * Paper reference: I-cache next-line prefetchability 23%;
  * D-cache next-line 16.3% + stride 5.1% = 21.4% of all intervals.
+ * Those totals are printed as one line per cache and reach the
+ * --json report (and --csv-dir) as the table `fig9_totals`.
  */
 
 #include "bench_common.hpp"
@@ -26,6 +28,10 @@ main(int argc, char **argv)
     const auto runs = run_standard_suite(cli);
     const auto points = core::compute_inflection(
         power::node_params(power::TechNode::Nm70));
+
+    util::Table totals("Figure 9 total prefetchability (share of all "
+                       "intervals)");
+    totals.set_header({"cache", "next-line", "stride", "total"});
 
     for (CacheSide side : {CacheSide::Instruction, CacheSide::Data}) {
         const bool icache = side == CacheSide::Instruction;
@@ -83,14 +89,18 @@ main(int argc, char **argv)
         const double st_frac =
             all ? static_cast<double>(stride) / static_cast<double>(all)
                 : 0;
+        const std::vector<std::string> row = {
+            icache ? "instruction" : "data", util::format_percent(nl_frac),
+            util::format_percent(st_frac),
+            util::format_percent(nl_frac + st_frac)};
+        totals.add_row(row);
         std::printf("total prefetchability: next-line %s + stride %s = "
                     "%s of all intervals\n",
-                    util::format_percent(nl_frac).c_str(),
-                    util::format_percent(st_frac).c_str(),
-                    util::format_percent(nl_frac + st_frac).c_str());
+                    row[1].c_str(), row[2].c_str(), row[3].c_str());
         std::printf("paper: %s\n\n",
                     icache ? "next-line 23% (I-cache total 23%)"
                            : "next-line 16.3% + stride 5.1% = 21.4%");
     }
+    bench::mirror(totals, cli, "fig9_totals");
     return bench::finish(cli);
 }

@@ -27,19 +27,16 @@ namespace {
 using namespace leakbound;
 
 /** Listener that tees every data access into a trace file. */
-class TraceCapture final : public cpu::AccessListener
+class TraceCapture
 {
   public:
     explicit TraceCapture(trace::TraceWriter *writer) : writer_(writer) {}
 
-    void
-    on_instr_access(Cycle, Pc, const sim::HierarchyResult &) override
-    {
-    }
+    void on_instr(Cycle, Pc, const sim::HierarchyResult &) {}
 
     void
-    on_data_access(Cycle cycle, Pc pc, Addr addr, bool is_store,
-                   const sim::HierarchyResult &) override
+    on_data(Cycle cycle, Pc pc, Addr addr, bool is_store,
+            const sim::HierarchyResult &)
     {
         trace::TimedAccess rec;
         rec.cycle = cycle;
@@ -76,9 +73,9 @@ main(int argc, char **argv)
         sim::Hierarchy hierarchy{sim::HierarchyConfig{}};
         workload::WorkloadPtr bench =
             workload::make_benchmark(cli.get("benchmark"));
-        cpu::InOrderCore core(cpu::CoreConfig{}, &hierarchy, bench.get(),
-                              &capture);
-        const auto stats = core.run(cli.get_u64("instructions"));
+        cpu::InOrderCore core(cpu::CoreConfig{}, &hierarchy, bench.get());
+        const auto stats =
+            core.run_with(cli.get_u64("instructions"), capture);
         end_cycle = stats.cycles;
         if (util::Status st = writer.flush(); !st.ok())
             util::fatal(st.to_string());

@@ -1,7 +1,7 @@
 /**
  * @file
- * The simulation kernel's access observer, shared by the single-core
- * kernel lane (run_one_kernel) and every core of the multicore engine.
+ * The simulation kernel's one access observer: every core of every run
+ * (src/multicore, single-core runs included) logs through it.
  *
  * While the core runs, the observer only appends what it was told to
  * one of two per-side logs: an I-record (cycle, block, frame, hit) per

@@ -8,15 +8,11 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
-#include <memory>
 #include <utility>
 
 #include "core/artifact_cache.hpp"
-#include "core/batched_observer.hpp"
-#include "core/collecting_listener.hpp"
 #include "core/inflection.hpp"
 #include "core/policies.hpp"
-#include "interval/collector.hpp"
 #include "multicore/multicore.hpp"
 #include "util/fault_injection.hpp"
 #include "util/interrupt.hpp"
@@ -132,149 +128,16 @@ ExperimentConfig::validate() const
     return util::Status();
 }
 
-namespace {
-
-/**
- * The kernelized lane of run_one(): runs without raw-interval
- * retention or L2 collection go through the devirtualized pipeline, a
- * run loop templated over BatchedObserver.  The general body in
- * run_one() serves every other shape; the differential fuzzer
- * (test_kernel_equivalence) runs one arm through each and proves them
- * byte-identical, and the single-core golden digests pin both.
- */
-ExperimentResult
-run_one_kernel(workload::Workload &workload, const ExperimentConfig &config)
-{
-    const auto wall_start = std::chrono::steady_clock::now();
-    config.hierarchy.validate();
-
-    auto edges =
-        interval::IntervalHistogramSet::default_edges(config.extra_edges);
-
-    sim::Hierarchy hierarchy(config.hierarchy);
-    ExperimentResult result{
-        CacheObservation(interval::IntervalHistogramSet(edges)),
-        CacheObservation(interval::IntervalHistogramSet(edges))};
-    result.workload = workload.name();
-
-    interval::IntervalCollector icollector(hierarchy.l1i().num_frames(),
-                                           &result.icache.intervals);
-    interval::IntervalCollector dcollector(hierarchy.l1d().num_frames(),
-                                           &result.dcache.intervals);
-    prefetch::StridePredictor stride(config.stride);
-
-    BatchedObserver observer(config.hierarchy, &icollector, &dcollector,
-                             &stride, config.nl_lead_time);
-
-    cpu::InOrderCore core(config.core, &hierarchy, &workload);
-    result.core = core.run_with(config.instructions, observer);
-    observer.flush();
-
-    icollector.finalize(result.core.cycles);
-    dcollector.finalize(result.core.cycles);
-
-    result.icache.stats = hierarchy.l1i().stats();
-    result.dcache.stats = hierarchy.l1d().stats();
-    result.l2 = hierarchy.l2().stats();
-    interval::check_access_count(icollector.num_accesses(),
-                                 result.icache.stats.accesses, "L1I");
-    interval::check_access_count(dcollector.num_accesses(),
-                                 result.dcache.stats.accesses, "L1D");
-    result.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
-
-    util::debug("experiment '", result.workload, "': ",
-                result.core.instructions, " instrs, ", result.core.cycles,
-                " cycles, ipc=", result.core.ipc(), " (kernel)");
-    return result;
-}
-
-/** One full experiment over an already-positioned workload. */
-ExperimentResult
-run_one(workload::Workload &workload, const ExperimentConfig &config)
-{
-    // The common collection shape takes the devirtualized kernel lane;
-    // keep_raw and L2 collection run the general pipeline below,
-    // byte-identical by construction.
-    if (!config.keep_raw && !config.collect_l2)
-        return run_one_kernel(workload, config);
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    config.hierarchy.validate();
-
-    auto edges =
-        interval::IntervalHistogramSet::default_edges(config.extra_edges);
-
-    sim::Hierarchy hierarchy(config.hierarchy);
-    ExperimentResult result{
-        CacheObservation(interval::IntervalHistogramSet(edges)),
-        CacheObservation(interval::IntervalHistogramSet(edges))};
-    result.workload = workload.name();
-
-    interval::IntervalCollector icollector(
-        hierarchy.l1i().num_frames(), &result.icache.intervals,
-        config.keep_raw);
-    interval::IntervalCollector dcollector(
-        hierarchy.l1d().num_frames(), &result.dcache.intervals,
-        config.keep_raw);
-    prefetch::StridePredictor stride(config.stride);
-
-    CollectingListener listener(config.hierarchy, &icollector, &dcollector,
-                                &stride, config.nl_lead_time);
-
-    std::unique_ptr<interval::IntervalCollector> l2collector;
-    if (config.collect_l2) {
-        result.l2cache.emplace(interval::IntervalHistogramSet(edges));
-        l2collector = std::make_unique<interval::IntervalCollector>(
-            hierarchy.l2().num_frames(), &result.l2cache->intervals,
-            config.keep_raw);
-        listener.set_l2_collector(l2collector.get());
-    }
-
-    cpu::InOrderCore core(config.core, &hierarchy, &workload, &listener);
-    result.core = core.run(config.instructions);
-
-    icollector.finalize(result.core.cycles);
-    dcollector.finalize(result.core.cycles);
-    if (l2collector) {
-        l2collector->finalize(result.core.cycles);
-        if (config.keep_raw)
-            result.l2cache->raw = l2collector->raw();
-    }
-    if (config.keep_raw) {
-        result.icache.raw = icollector.raw();
-        result.dcache.raw = dcollector.raw();
-    }
-
-    result.icache.stats = hierarchy.l1i().stats();
-    result.dcache.stats = hierarchy.l1d().stats();
-    result.l2 = hierarchy.l2().stats();
-    if (result.l2cache)
-        result.l2cache->stats = result.l2;
-    result.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
-
-    util::debug("experiment '", result.workload, "': ",
-                result.core.instructions, " instrs, ", result.core.cycles,
-                " cycles, ipc=", result.core.ipc());
-    return result;
-}
-
-} // namespace
-
 ExperimentResult
 run_experiment(workload::Workload &workload, const ExperimentConfig &config)
 {
-    // Multicore configurations take the interleaved shared-L2 engine;
-    // its N=1 output is byte-identical to the single-core path below
-    // (test_multicore_equivalence), so the dispatch is purely a matter
-    // of which knobs were set.
-    if (config.core_count != 1 || !config.workload_mix.empty()) {
-        return multicore::run_multicore_summary(workload.name(), config);
-    }
-    return run_one(workload, config);
+    const auto wall_start = std::chrono::steady_clock::now();
+    ExperimentResult result =
+        multicore::run_multicore(workload, config).to_experiment_result();
+    result.wall_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - wall_start)
+                              .count();
+    return result;
 }
 
 std::vector<ExperimentResult>
@@ -335,8 +198,8 @@ run_suite_isolated(const std::vector<std::string> &names,
         config_fp = fingerprint_config(config);
     }
 
-    auto run_one = [&config, &cache,
-                    config_fp](workload::Workload &workload) {
+    auto run_or_load = [&config, &cache,
+                        config_fp](workload::Workload &workload) {
         if (!cache)
             return run_experiment(workload, config);
         return cache->load_or_run(
@@ -352,7 +215,7 @@ run_suite_isolated(const std::vector<std::string> &names,
     // quiet and sibling jobs are untouched.  Transient failures retry
     // with a fresh workload instance (the previous attempt may have
     // half-consumed it).
-    auto attempt_job = [&run_one, &before_job,
+    auto attempt_job = [&run_or_load, &before_job,
                         &config](const std::string &name) -> JobOutcome {
         JobOutcome out;
         for (unsigned attempt = 0;; ++attempt) {
@@ -374,7 +237,7 @@ run_suite_isolated(const std::vector<std::string> &names,
                 workload::WorkloadPtr w = workload::make_benchmark(name);
                 util::inform("simulating ", name, " (",
                              config.instructions, " instructions)");
-                out.result = run_one(*w);
+                out.result = run_or_load(*w);
                 out.retries = attempt;
                 return out;
             } catch (const util::StatusError &e) {

@@ -57,7 +57,11 @@ struct ExperimentConfig
      * standard_extra_edges(), which covers all stock experiments).
      */
     std::vector<Cycles> extra_edges;
-    /** Also retain raw intervals (memory-heavy; tests only). */
+    /**
+     * Also retain the L1s' raw intervals (memory-heavy; tests only).
+     * Single-core only: with core_count > 1 the run fails with
+     * InvalidArgument.  The L2's raw intervals are never kept.
+     */
     bool keep_raw = false;
     /**
      * Timeliness requirement for next-line coverage: the trigger
@@ -102,10 +106,9 @@ struct ExperimentConfig
     /** Unused; see Engine. */
     Engine engine = Engine::Sim;
     /**
-     * Number of in-order cores sharing the L2 (src/multicore).  1 runs
-     * the classic single-core engine; anything else (or a non-empty
-     * workload_mix) routes through the multicore interleaver, whose
-     * N=1 output is byte-identical to the single-core engine anyway.
+     * Number of in-order cores sharing the L2.  Every run goes through
+     * the multicore engine (src/multicore); a single core with an
+     * empty workload_mix drives the workload run_experiment was given.
      */
     std::uint32_t core_count = 1;
     /**
@@ -132,7 +135,8 @@ struct ExperimentConfig
 struct CacheObservation
 {
     interval::IntervalHistogramSet intervals;
-    std::vector<interval::Interval> raw; ///< empty unless keep_raw
+    /** Empty unless keep_raw; always empty for the L2. */
+    std::vector<interval::Interval> raw;
     sim::CacheStats stats;
 
     explicit CacheObservation(interval::IntervalHistogramSet set)
@@ -180,7 +184,14 @@ struct ExperimentResult
  */
 const std::vector<Cycles> &standard_extra_edges();
 
-/** Run @p workload under @p config and collect both caches. */
+/**
+ * Run @p workload under @p config and collect both caches (and the L2
+ * with collect_l2): multicore::run_multicore flattened by
+ * MulticoreResult::to_experiment_result, with the wall time.  A single
+ * core with an empty workload_mix drives @p workload itself; any other
+ * shape builds its cores' workloads from names (see
+ * multicore::resolve_mix).
+ */
 ExperimentResult run_experiment(workload::Workload &workload,
                                 const ExperimentConfig &config);
 

@@ -11,11 +11,11 @@
  * consumes; the limit study needs relative access timing, not precise
  * out-of-order overlap.
  *
- * The run loop is a template over the access listener, so the kernel
- * path (core::run_one with a concrete listener type) compiles into one
- * devirtualized routine; the classic AccessListener interface rides on
- * the same loop through a thin adapter, and the multicore interleaver
- * steps it in bounded slices through run_until.
+ * The run loop is a template over the access listener, so each
+ * listener type (core::BatchedObserver for a lone core, the multicore
+ * engine's node listener, a test's recorder) compiles into one
+ * devirtualized routine: run_with runs it to the budget, and the
+ * multicore interleaver steps it in bounded slices through run_until.
  *
  * Instruction fetch reads spans (Workload::next_spans): straight-line
  * runs plus their loads and stores, refilled one batch per virtual
@@ -65,25 +65,6 @@ struct CoreConfig
     util::Status validate() const;
 };
 
-/**
- * Observer of the core's cache accesses; the experiment glue implements
- * this to drive interval collection and prefetch bookkeeping.
- */
-class AccessListener
-{
-  public:
-    virtual ~AccessListener() = default;
-
-    /** A fetch-group access to L1I at @p cycle for the line of @p pc. */
-    virtual void on_instr_access(Cycle cycle, Pc pc,
-                                 const sim::HierarchyResult &result) = 0;
-
-    /** A load/store by @p pc to @p addr at @p cycle. */
-    virtual void on_data_access(Cycle cycle, Pc pc, Addr addr,
-                                bool is_store,
-                                const sim::HierarchyResult &result) = 0;
-};
-
 /** Statistics of one core run. */
 struct CoreRunStats
 {
@@ -105,8 +86,9 @@ struct CoreRunStats
 };
 
 /**
- * The timing core.  Construct, then run() once; the final cycle count
- * is the interval analysis' end-of-run timestamp.
+ * The timing core.  Construct, then run_with() once or run_until() in
+ * a chain; the final cycle count is the interval analysis' end-of-run
+ * timestamp.
  */
 class InOrderCore
 {
@@ -116,21 +98,16 @@ class InOrderCore
      *        malformed config)
      * @param hierarchy the memory system (not owned)
      * @param source the workload generating instructions (not owned)
-     * @param listener optional access observer (not owned)
      */
     InOrderCore(const CoreConfig &config, sim::Hierarchy *hierarchy,
-                workload::Workload *source,
-                AccessListener *listener = nullptr);
-
-    /** Execute up to @p max_instructions; returns run statistics. */
-    CoreRunStats run(std::uint64_t max_instructions);
+                workload::Workload *source);
 
     /**
-     * run() with a concrete (non-virtual) listener: the kernel path.
-     * @p L provides on_instr(cycle, pc, result) and on_data(cycle, pc,
-     * addr, is_store, result), both of which inline into the loop.
-     * The op stream, timing, and statistics are byte-identical to
-     * run() over an equivalent AccessListener.
+     * Execute up to @p max_instructions, telling @p listener of every
+     * access; returns run statistics.  @p L provides on_instr(cycle,
+     * pc, result), called once per fetch group for its L1I access, and
+     * on_data(cycle, pc, addr, is_store, result), once per load or
+     * store; both inline into the loop.
      */
     template <typename L>
     CoreRunStats
@@ -158,7 +135,7 @@ class InOrderCore
         return run_loop<true>(max_instructions, limit, listener);
     }
 
-    /** Current cycle (end-of-run timestamp after run()). */
+    /** Current cycle (end-of-run timestamp after run_with()). */
     Cycle cycle() const { return cycle_; }
 
   private:
@@ -196,9 +173,9 @@ class InOrderCore
     }
 
     /**
-     * The run loop, shared by every entry point.  @p Bounded compiles
+     * The run loop, shared by both entry points.  @p Bounded compiles
      * run_until's per-group `cycle >= limit` test in; the unbounded
-     * kernel path (run_with) carries no extra compare.
+     * run_with carries no extra compare.
      */
     template <bool Bounded, typename L>
     CoreRunStats
@@ -336,7 +313,6 @@ class InOrderCore
     CoreConfig config_;
     sim::Hierarchy *hierarchy_;
     workload::Workload *source_;
-    AccessListener *listener_;
     Cycle cycle_ = 0;
 
     workload::SpanBatch batch_;

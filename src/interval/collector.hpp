@@ -14,8 +14,8 @@
  * prefetch::NextLineMonitor).  At construction it resolves its sink
  * once into an IntervalHistogramSet::WriteView, so closing an interval
  * is a short inline path: the slot by arithmetic, one bin lookup, one
- * bin update.  Every run loop (core::BatchedObserver,
- * core::CollectingListener, the multicore L2 banks) inlines it.
+ * bin update.  Both of its callers in a run (core::BatchedObserver and
+ * the multicore engine's L2 banks) inline it.
  *
  * Prefetchability flags are computed by the caller (the experiment
  * glue), which owns the per-block last-access tables and the stride

@@ -1,8 +1,8 @@
 /**
  * @file
- * Implementation of the multicore shared-L2 engine: the per-core
- * listener, the duplicate-tag invalidation directory, and the bounded
- * (cycle, core_id) interleaver.
+ * Implementation of the simulation engine: the per-core listener, the
+ * duplicate-tag invalidation directory, the bounded (cycle, core_id)
+ * interleaver, and the lone-core run that needs none of them.
  */
 
 #include "multicore/multicore.hpp"
@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <chrono>
 #include <memory>
 #include <utility>
 
@@ -55,11 +54,11 @@ add_cache_stats(sim::CacheStats &into, const sim::CacheStats &from)
 class Engine;
 
 /**
- * Per-core access listener: logs the access for the core's own
- * collectors through the BatchedObserver the single-core kernel lane
- * uses, then routes it to the engine for the shared-L2 log and the
- * invalidation directory.  Concrete and non-virtual:
- * InOrderCore::run_until inlines it into the run loop.
+ * Per-core access listener of an interleaved run: logs the access for
+ * the core's own collectors through its BatchedObserver, then routes
+ * it to the engine for the shared-L2 log and the invalidation
+ * directory.  Concrete and non-virtual: InOrderCore::run_until inlines
+ * it into the run loop.
  */
 class NodeListener
 {
@@ -94,9 +93,17 @@ class NodeListener
 class Engine
 {
   public:
-    Engine(std::vector<std::string> names, std::string label,
-           const core::ExperimentConfig &config)
-        : label_(std::move(label)),
+    /**
+     * @param names one benchmark per core
+     * @param borrowed the caller's workload, which core 0 drives
+     *        instead of building one from names[0]; nullptr to build
+     *        every core's (only a single core may borrow)
+     */
+    Engine(const std::vector<std::string> &names, std::string label,
+           const core::ExperimentConfig &config,
+           workload::Workload *borrowed)
+        : config_(config), label_(std::move(label)),
+          lone_(names.size() == 1 && !config.collect_l2),
           l2_(config.hierarchy.l2, kSharedL2Seed),
           l1d_line_shift_(config.hierarchy.l1d.line_shift()),
           l1d_set_mask_(config.hierarchy.l1d.set_mask()),
@@ -138,19 +145,27 @@ class Engine
                 config.hierarchy, &l2_, i);
             node->icollector =
                 std::make_unique<interval::IntervalCollector>(
-                    node->hierarchy->l1i().num_frames(), &*node->isink);
+                    node->hierarchy->l1i().num_frames(), &*node->isink,
+                    config.keep_raw);
             node->dcollector =
                 std::make_unique<interval::IntervalCollector>(
-                    node->hierarchy->l1d().num_frames(), &*node->dsink);
+                    node->hierarchy->l1d().num_frames(), &*node->dsink,
+                    config.keep_raw);
             node->stride =
                 std::make_unique<prefetch::StridePredictor>(config.stride);
-            node->listener = std::make_unique<NodeListener>(
-                this, i, config.hierarchy, node->icollector.get(),
-                node->dcollector.get(), node->stride.get(),
-                config.nl_lead_time);
-            node->workload = workload::make_benchmark(names[i]);
-            node->core = std::make_unique<cpu::InOrderCore>(
-                config.core, node->hierarchy.get(), node->workload.get());
+            node->source = borrowed;
+            if (!node->source) {
+                node->workload = workload::make_benchmark(names[i]);
+                node->source = node->workload.get();
+            }
+            if (!lone_) {
+                node->listener = std::make_unique<NodeListener>(
+                    this, i, config.hierarchy, node->icollector.get(),
+                    node->dcollector.get(), node->stride.get(),
+                    config.nl_lead_time);
+                node->core = std::make_unique<cpu::InOrderCore>(
+                    config.core, node->hierarchy.get(), node->source);
+            }
             node->remaining = config.instructions;
             node->running = node->remaining != 0;
             nodes_.push_back(std::move(node));
@@ -253,8 +268,10 @@ class Engine
         std::unique_ptr<interval::IntervalCollector> icollector;
         std::unique_ptr<interval::IntervalCollector> dcollector;
         std::unique_ptr<prefetch::StridePredictor> stride;
+        workload::WorkloadPtr workload; ///< null when borrowed
+        workload::Workload *source = nullptr; ///< what the core runs
+        /** Null for a lone core, which run_lone() runs on its stack. */
         std::unique_ptr<NodeListener> listener;
-        workload::WorkloadPtr workload;
         std::unique_ptr<cpu::InOrderCore> core;
         std::uint64_t remaining = 0;
         bool running = false;
@@ -330,7 +347,16 @@ class Engine
         l2_len_ = 0;
     }
 
+    void run_lone(Node &node);
+    void interleave();
+
+    const core::ExperimentConfig &config_;
     std::string label_; ///< the mix label (fault-injection tag, errors)
+    /**
+     * One core without L2 collection: it runs straight through its
+     * observer, and the directory is neither kept nor checked.
+     */
+    bool lone_;
     sim::Cache l2_;
     std::uint32_t l1d_line_shift_;
     std::uint64_t l1d_set_mask_;
@@ -377,8 +403,32 @@ NodeListener::on_data(Cycle cycle, Pc pc, Addr addr, bool is_store,
     engine_->on_data(core_id_, cycle, addr, is_store, result.l1);
 }
 
-MulticoreResult
-Engine::run()
+/**
+ * The lone core: run_with over its BatchedObserver, with no directory.
+ * With one core no other core can hold a copy of its lines, so no
+ * store ever finds a sharer, and with no L2 collection the engine
+ * observes nothing of its own: the interleaver's only work would be
+ * one unbounded run_until, and run_with is that run.  The core and the
+ * observer are locals of this out-of-line function, not heap members
+ * of the node: held by the node, they made perfbench's
+ * paper_suite_cold ~4% slower (Release, GCC 12, 4 vCPUs), most likely
+ * because the compiler can no longer tell the observer's log stores
+ * from the core's fetch state.
+ */
+[[gnu::noinline]] void
+Engine::run_lone(Node &node)
+{
+    core::BatchedObserver observer(
+        config_.hierarchy, node.icollector.get(), node.dcollector.get(),
+        node.stride.get(), config_.nl_lead_time);
+    cpu::InOrderCore core(config_.core, node.hierarchy.get(), node.source);
+    node.stats = core.run_with(node.remaining, observer);
+    observer.flush();
+}
+
+/** Run every core to its budget in (cycle, core_id) order. */
+void
+Engine::interleave()
 {
     for (;;) {
         // Run the core with the minimum (cycle, core_id) until it stops
@@ -429,16 +479,25 @@ Engine::run()
             next->running = false;
     }
     // Classify every logged event before anything reads a collector.
-    for (auto &node : nodes_)
+    for (auto &node : nodes_) {
         node->listener->observer().flush();
+        node->stats.cycles = node->core->cycle();
+    }
     flush_l2();
     check_directory();
+}
+
+MulticoreResult
+Engine::run()
+{
+    if (lone_)
+        run_lone(*nodes_.front());
+    else
+        interleave();
 
     Cycle end_cycle = 0;
-    for (auto &node : nodes_) {
-        node->stats.cycles = node->core->cycle();
-        end_cycle = std::max(end_cycle, node->core->cycle());
-    }
+    for (const auto &node : nodes_)
+        end_cycle = std::max(end_cycle, node->stats.cycles);
 
     MulticoreResult result;
     result.end_cycle = end_cycle;
@@ -459,6 +518,8 @@ Engine::run()
         outcome.icache.stats = node->hierarchy->l1i().stats();
         outcome.dcache.stats = node->hierarchy->l1d().stats();
         outcome.invalidations_received = node->invalidations_received;
+        outcome.icache.raw = node->icollector->raw();
+        outcome.dcache.raw = node->dcollector->raw();
         // Every L1D interval boundary is an access or a remote kill.
         const std::string core_name = "core " + std::to_string(node->id);
         interval::check_access_count(node->icollector->num_accesses(),
@@ -521,22 +582,30 @@ mix_label(const std::vector<std::string> &names)
     return label;
 }
 
+namespace {
+
+/**
+ * run_multicore(), core 0 driving @p borrowed instead of a workload
+ * built by name when it is not null (a single core, empty mix).
+ */
 MulticoreResult
-run_multicore(const std::string &benchmark,
-              const core::ExperimentConfig &config)
+run(const std::string &benchmark, workload::Workload *borrowed,
+    const core::ExperimentConfig &config)
 {
     if (util::Status valid = config.validate(); !valid.ok())
         throw util::StatusError(std::move(valid));
-    if (config.keep_raw) {
+    if (config.keep_raw && config.core_count > 1) {
         throw util::StatusError(util::Status(
             util::ErrorKind::InvalidArgument,
             "raw-interval retention (keep_raw) is single-core only"));
     }
     config.hierarchy.validate();
 
-    const std::vector<std::string> names = resolve_mix(benchmark, config);
+    const std::vector<std::string> names =
+        borrowed ? std::vector<std::string>{benchmark}
+                 : resolve_mix(benchmark, config);
     std::string label = mix_label(names);
-    Engine engine(names, label, config);
+    Engine engine(names, label, config, borrowed);
     MulticoreResult result = engine.run();
     result.label = std::move(label);
 
@@ -547,6 +616,23 @@ run_multicore(const std::string &benchmark,
                 " cores, ", instructions, " instrs, ", result.end_cycle,
                 " cycles, ", result.invalidations, " invalidations");
     return result;
+}
+
+} // namespace
+
+MulticoreResult
+run_multicore(const std::string &benchmark,
+              const core::ExperimentConfig &config)
+{
+    return run(benchmark, nullptr, config);
+}
+
+MulticoreResult
+run_multicore(workload::Workload &workload,
+              const core::ExperimentConfig &config)
+{
+    const bool single = config.core_count == 1 && config.workload_mix.empty();
+    return run(workload.name(), single ? &workload : nullptr, config);
 }
 
 core::ExperimentResult
@@ -576,19 +662,6 @@ MulticoreResult::to_experiment_result() const
     result.core = stats;
     result.l2cache = l2cache;
     result.l2 = l2;
-    return result;
-}
-
-core::ExperimentResult
-run_multicore_summary(const std::string &benchmark,
-                      const core::ExperimentConfig &config)
-{
-    const auto wall_start = std::chrono::steady_clock::now();
-    core::ExperimentResult result =
-        run_multicore(benchmark, config).to_experiment_result();
-    result.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
     return result;
 }
 

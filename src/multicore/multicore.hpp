@@ -1,21 +1,22 @@
 /**
  * @file
- * Multi-core shared-L2 simulator: N in-order cores with private L1s
- * over one shared L2, an MSI-style invalidation filter between the
- * L1Ds, and a deterministic cycle interleaver.
+ * The simulation engine: N in-order cores with private L1s over one
+ * shared L2, an MSI-style invalidation filter between the L1Ds, and a
+ * deterministic cycle interleaver.  Every run takes it, the
+ * single-core ones (core::run_experiment) as N=1.
  *
- * The engine is the multicore counterpart of core::run_experiment:
- * per-core interval populations come from per-core collectors fed by
- * the core::BatchedObserver the single-core kernel lane uses (same
- * classification code, so identical access streams produce identical
- * populations), and the shared L2's population comes from per-bank
- * collectors, fed through one engine-level event log, whose merged
- * histogram is what the oracle bound is computed from.  An L2 line's
- * sleep interval ends when *any* core touches it through a miss or
- * kills a sharer's copy through the invalidation filter.  The filter
- * is a duplicate-tag directory (a mirror of every core's L1D tags)
- * that only stores consult; its exactness is checked at end of run,
- * and a mismatch fails the run with a typed Internal error.
+ * Per-core interval populations come from per-core collectors fed by
+ * a core::BatchedObserver, and the shared L2's population comes from
+ * per-bank collectors, fed through one engine-level event log, whose
+ * merged histogram is what the oracle bound is computed from.  An L2
+ * line's sleep interval ends when *any* core touches it through a miss
+ * or kills a sharer's copy through the invalidation filter.  The
+ * filter is a duplicate-tag directory (a mirror of every core's L1D
+ * tags) that only stores consult; its exactness is checked at end of
+ * run, and a mismatch fails the run with a typed Internal error.  A
+ * lone core without L2 collection has nothing to share and nothing to
+ * observe at the L2, so it runs straight through its observer, with no
+ * directory.
  *
  * Determinism contract: the interleaver is a single-threaded loop that
  * always runs the core with the minimum (cycle, core_id) pair, through
@@ -27,9 +28,8 @@
  * check and the collectors' finalize.  Every
  * histogram, statistic, and serialized byte is therefore a pure
  * function of the configuration.  Results are byte-identical across
- * --jobs values and across runs, the N=1 configuration reduces
- * exactly to the single-core engine, and golden digests pin the
- * interleaving (test_multicore_equivalence proves all three).
+ * --jobs values and across runs, and golden digests pin the
+ * interleaving (test_multicore_equivalence).
  */
 
 #ifndef LEAKBOUND_MULTICORE_MULTICORE_HPP
@@ -108,8 +108,8 @@ struct MulticoreResult
     /**
      * Flatten into the single-core result shape: summed core stats
      * (cycles = end_cycle), per-level observations merged across
-     * cores, workload = label.  For N=1 this is byte-identical (under
-     * core::serialize_result) to the single-core engine's output.
+     * cores, workload = label.  This is what core::run_experiment
+     * returns.
      */
     core::ExperimentResult to_experiment_result() const;
 };
@@ -119,8 +119,7 @@ struct MulticoreResult
  * verbatim (validate() has pinned its length to core_count); an empty
  * mix replicates @p benchmark core_count times, which requires it to
  * be a suite benchmark (util::StatusError(InvalidArgument) otherwise —
- * multicore cores are constructed from names, not from a live workload
- * instance).
+ * each core builds its own workload from its name).
  */
 std::vector<std::string>
 resolve_mix(const std::string &benchmark,
@@ -130,22 +129,23 @@ resolve_mix(const std::string &benchmark,
 std::string mix_label(const std::vector<std::string> &names);
 
 /**
- * Run the multicore simulation.  Throws util::StatusError with a typed
- * InvalidArgument status on a malformed config (config.validate(),
- * keep_raw — raw-interval retention is single-core only — or an
+ * Run the simulation, every core's workload built from its name.
+ * Throws util::StatusError with a typed InvalidArgument status on a
+ * malformed config (config.validate(), keep_raw with more than one
+ * core — raw-interval retention is single-core only — or an
  * unresolvable mix).
  */
 MulticoreResult run_multicore(const std::string &benchmark,
                               const core::ExperimentConfig &config);
 
 /**
- * run_multicore() flattened to the single-core result shape (see
- * MulticoreResult::to_experiment_result); what core::run_experiment
- * dispatches to for multicore configs.
+ * run_multicore() over the caller's @p workload: a single core with an
+ * empty workload_mix drives that instance (which may be any Workload,
+ * not only a suite benchmark); any other shape resolves its mix from
+ * workload.name().
  */
-core::ExperimentResult
-run_multicore_summary(const std::string &benchmark,
-                      const core::ExperimentConfig &config);
+MulticoreResult run_multicore(workload::Workload &workload,
+                              const core::ExperimentConfig &config);
 
 } // namespace leakbound::multicore
 

@@ -150,12 +150,18 @@ class Rng
         return bound.reduce(r);
     }
 
-    /** Uniform draw in the closed range [lo, hi]. */
+    /**
+     * Uniform draw in the closed range [lo, hi].  The full 64-bit range
+     * is one raw draw; any other range draws as next_below(hi - lo + 1).
+     */
     std::uint64_t
     next_in(std::uint64_t lo, std::uint64_t hi)
     {
         LEAKBOUND_ASSERT(lo <= hi, "next_in: lo > hi");
-        return lo + next_below(hi - lo + 1);
+        const std::uint64_t span = hi - lo + 1;
+        if (span == 0) [[unlikely]]
+            return next_u64(); // 2^64 values: every draw is in range
+        return lo + next_below(span);
     }
 
     /** Uniform double in [0, 1). */

@@ -13,7 +13,8 @@ rounding:
   - Figure 8: the suite average of all six schemes for both caches
     (12 values);
   - Figure 9: the I-cache next-line fraction and the D-cache next-line,
-    stride and total fractions (4 values).
+    stride and total fractions (4 values), read from the `fig9_totals`
+    table of fig9_prefetchability's --json report.
 
 The expected values are read from EXPERIMENTS.md itself (the number
 after the arrow of a "paper -> measured" cell, or the measured column
@@ -25,10 +26,13 @@ Usage (CTest passes the paths):
   check_fidelity.py EXPERIMENTS.md CACHE_DIR FIG8 TABLE2 FIG9
 """
 
+import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 ARROW = "→"
 ONE_DECIMAL = re.compile(r"^\d+\.\d$")
@@ -93,8 +97,8 @@ def find_table(tables, prefix):
     return tables[matches[0]]
 
 
-def run(binary, cache_dir):
-    proc = subprocess.run([binary, "--cache-dir", cache_dir],
+def run(binary, cache_dir, *flags):
+    proc = subprocess.run([binary, "--cache-dir", cache_dir, *flags],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True)
     if proc.returncode != 0:
@@ -113,7 +117,11 @@ def main():
     shutil.rmtree(cache_dir, ignore_errors=True)
     fig8_out = stdout_tables(run(fig8, cache_dir))
     table2_out = stdout_tables(run(table2, cache_dir))
-    fig9_text = run(fig9, cache_dir)
+    with tempfile.TemporaryDirectory() as tmp:
+        report_path = os.path.join(tmp, "fig9.json")
+        run(fig9, cache_dir, "--json", report_path)
+        with open(report_path, encoding="utf-8") as f:
+            fig9_report = json.load(f)
 
     checks = []  # (what, documented, printed)
 
@@ -145,16 +153,19 @@ def main():
                            measured(row[column]),
                            average.get(scheme, "missing")))
 
-    # Figure 9: the "total prefetchability" line of each cache.
-    totals = re.findall(r"^total prefetchability: next-line ([\d.]+)% \+ "
-                        r"stride ([\d.]+)% = ([\d.]+)%", fig9_text, re.M)
-    if len(totals) != 2:
-        sys.exit(f"fidelity: fig9 printed {len(totals)} totals, expected 2")
+    # Figure 9: the report's totals table, one row per cache.
+    totals = [t for t in fig9_report["tables"] if t["slug"] == "fig9_totals"]
+    if len(totals) != 1:
+        sys.exit(f"fidelity: fig9 reported {len(totals)} totals tables, "
+                 f"expected 1")
+    rows = {row[0]: dict(zip(totals[0]["header"], row))
+            for row in totals[0]["rows"]}
+    icache, dcache = rows.get("instruction", {}), rows.get("data", {})
     printed_f9 = {
-        "I-cache next-line fraction": totals[0][0],
-        "D-cache next-line fraction": totals[1][0],
-        "D-cache stride fraction": totals[1][1],
-        "D-cache total": totals[1][2],
+        "I-cache next-line fraction": icache.get("next-line", "missing"),
+        "D-cache next-line fraction": dcache.get("next-line", "missing"),
+        "D-cache stride fraction": dcache.get("stride", "missing"),
+        "D-cache total": dcache.get("total", "missing"),
     }
     doc_f9 = doc_tables(doc_section(doc, "Figure 9"))
     if len(doc_f9) != 1:

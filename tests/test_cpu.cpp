@@ -26,7 +26,7 @@ using fixtures::ScriptedWorkload;
 namespace {
 
 /** Records every callback. */
-class RecordingListener final : public AccessListener
+class RecordingListener
 {
   public:
     struct InstrEvent
@@ -45,15 +45,14 @@ class RecordingListener final : public AccessListener
     };
 
     void
-    on_instr_access(Cycle cycle, Pc pc,
-                    const sim::HierarchyResult &result) override
+    on_instr(Cycle cycle, Pc pc, const sim::HierarchyResult &result)
     {
         instr.push_back({cycle, pc, result.l1.hit});
     }
 
     void
-    on_data_access(Cycle cycle, Pc pc, Addr addr, bool is_store,
-                   const sim::HierarchyResult &result) override
+    on_data(Cycle cycle, Pc pc, Addr addr, bool is_store,
+            const sim::HierarchyResult &result)
     {
         data.push_back({cycle, pc, addr, is_store, result.l1.hit});
     }
@@ -70,6 +69,14 @@ op_at(Pc pc, InstrKind kind = InstrKind::Op, Addr addr = kInvalidAddr)
     op.kind = kind;
     op.addr = addr;
     return op;
+}
+
+/** Run @p core with nobody listening. */
+CoreRunStats
+run_unobserved(InOrderCore &core, std::uint64_t max_instructions)
+{
+    RecordingListener ignored;
+    return core.run_with(max_instructions, ignored);
 }
 
 /** N sequential non-memory ops starting at pc. */
@@ -90,8 +97,8 @@ TEST(InOrderCore, FourWideGroupsOneFetchEach)
     ScriptedWorkload w(straight_line(0x1000, 16));
     sim::Hierarchy h{sim::HierarchyConfig{}};
     RecordingListener listener;
-    InOrderCore core(CoreConfig{}, &h, &w, &listener);
-    const CoreRunStats stats = core.run(1'000'000);
+    InOrderCore core(CoreConfig{}, &h, &w);
+    const CoreRunStats stats = core.run_with(1'000'000, listener);
 
     EXPECT_EQ(stats.instructions, 16u);
     EXPECT_EQ(stats.fetch_groups, 4u);
@@ -110,8 +117,8 @@ TEST(InOrderCore, GroupBreaksAtLineBoundary)
     ScriptedWorkload w(ops);
     sim::Hierarchy h{sim::HierarchyConfig{}};
     RecordingListener listener;
-    InOrderCore core(CoreConfig{}, &h, &w, &listener);
-    const CoreRunStats stats = core.run(100);
+    InOrderCore core(CoreConfig{}, &h, &w);
+    const CoreRunStats stats = core.run_with(100, listener);
     EXPECT_EQ(stats.fetch_groups, 2u);
     EXPECT_EQ(listener.instr[0].pc, 0x1038u);
     EXPECT_EQ(listener.instr[1].pc, 0x1040u);
@@ -124,8 +131,8 @@ TEST(InOrderCore, GroupBreaksAtTakenBranch)
                                 op_at(0x2000), op_at(0x2004)};
     ScriptedWorkload w(ops);
     sim::Hierarchy h{sim::HierarchyConfig{}};
-    InOrderCore core(CoreConfig{}, &h, &w, nullptr);
-    const CoreRunStats stats = core.run(100);
+    InOrderCore core(CoreConfig{}, &h, &w);
+    const CoreRunStats stats = run_unobserved(core, 100);
     EXPECT_EQ(stats.fetch_groups, 2u);
     EXPECT_EQ(stats.instructions, 4u);
 }
@@ -139,8 +146,8 @@ TEST(InOrderCore, CyclesAdvancePerGroupPlusStalls)
     sim::Hierarchy h{cfg};
     // Pre-warm the caches.
     h.access_instr(0x1000);
-    InOrderCore core(CoreConfig{}, &h, &warm, nullptr);
-    const CoreRunStats stats = core.run(100);
+    InOrderCore core(CoreConfig{}, &h, &warm);
+    const CoreRunStats stats = run_unobserved(core, 100);
     EXPECT_EQ(stats.fetch_groups, 2u);
     EXPECT_EQ(stats.cycles, 2u);
     EXPECT_EQ(stats.instr_stall_cycles, 0u);
@@ -155,8 +162,8 @@ TEST(InOrderCore, MissStallUsesOverlapDiscount)
     sim::Hierarchy h{cfg};
     CoreConfig core_cfg;
     core_cfg.miss_overlap_percent = 50;
-    InOrderCore core(core_cfg, &h, &w, nullptr);
-    const CoreRunStats stats = core.run(100);
+    InOrderCore core(core_cfg, &h, &w);
+    const CoreRunStats stats = run_unobserved(core, 100);
     EXPECT_EQ(stats.fetch_groups, 1u);
     const Cycles raw_penalty = cfg.memory_latency - cfg.l1i.hit_latency;
     EXPECT_EQ(stats.cycles, 1 + (raw_penalty * 50 + 50) / 100);
@@ -165,8 +172,8 @@ TEST(InOrderCore, MissStallUsesOverlapDiscount)
     ScriptedWorkload w2(straight_line(0x9000, 4));
     sim::Hierarchy h2{cfg};
     core_cfg.miss_overlap_percent = 100;
-    InOrderCore blocking(core_cfg, &h2, &w2, nullptr);
-    EXPECT_EQ(blocking.run(100).cycles, 1 + raw_penalty);
+    InOrderCore blocking(core_cfg, &h2, &w2);
+    EXPECT_EQ(run_unobserved(blocking, 100).cycles, 1 + raw_penalty);
 }
 
 TEST(InOrderCore, DataAccessesReachTheL1D)
@@ -179,8 +186,8 @@ TEST(InOrderCore, DataAccessesReachTheL1D)
     ScriptedWorkload w(ops);
     sim::Hierarchy h{sim::HierarchyConfig{}};
     RecordingListener listener;
-    InOrderCore core(CoreConfig{}, &h, &w, &listener);
-    const CoreRunStats stats = core.run(100);
+    InOrderCore core(CoreConfig{}, &h, &w);
+    const CoreRunStats stats = core.run_with(100, listener);
 
     EXPECT_EQ(stats.loads, 1u);
     EXPECT_EQ(stats.stores, 1u);
@@ -205,7 +212,7 @@ TEST(InOrderCore, ZeroFetchWidthIsATypedError)
     // malformed request fails its own job instead of aborting.
     ScriptedWorkload w(straight_line(0x1000, 4));
     sim::Hierarchy h{sim::HierarchyConfig{}};
-    EXPECT_THROW(InOrderCore(bad, &h, &w, nullptr), util::StatusError);
+    EXPECT_THROW(InOrderCore(bad, &h, &w), util::StatusError);
     EXPECT_TRUE(CoreConfig{}.validate().ok());
 }
 
@@ -213,8 +220,8 @@ TEST(InOrderCore, RespectsInstructionBudget)
 {
     ScriptedWorkload w(straight_line(0x1000, 100));
     sim::Hierarchy h{sim::HierarchyConfig{}};
-    InOrderCore core(CoreConfig{}, &h, &w, nullptr);
-    const CoreRunStats stats = core.run(10);
+    InOrderCore core(CoreConfig{}, &h, &w);
+    const CoreRunStats stats = run_unobserved(core, 10);
     EXPECT_EQ(stats.instructions, 10u);
 }
 
@@ -222,8 +229,8 @@ TEST(InOrderCore, StopsWhenWorkloadEnds)
 {
     ScriptedWorkload w(straight_line(0x1000, 5));
     sim::Hierarchy h{sim::HierarchyConfig{}};
-    InOrderCore core(CoreConfig{}, &h, &w, nullptr);
-    const CoreRunStats stats = core.run(1'000'000);
+    InOrderCore core(CoreConfig{}, &h, &w);
+    const CoreRunStats stats = run_unobserved(core, 1'000'000);
     EXPECT_EQ(stats.instructions, 5u);
     EXPECT_GT(stats.cycles, 0u);
 }
@@ -241,8 +248,8 @@ TEST(InOrderCore, ListenerSeesMonotoneCycles)
     ScriptedWorkload w(ops);
     sim::Hierarchy h{sim::HierarchyConfig{}};
     RecordingListener listener;
-    InOrderCore core(CoreConfig{}, &h, &w, &listener);
-    core.run(1'000'000);
+    InOrderCore core(CoreConfig{}, &h, &w);
+    core.run_with(1'000'000, listener);
     Cycle prev = 0;
     for (const auto &e : listener.instr) {
         EXPECT_GE(e.cycle, prev);

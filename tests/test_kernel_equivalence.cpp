@@ -10,14 +10,16 @@
  *
  *  - Experiment level: 1000 seeded random LoopPrograms (RNG-fed
  *    patterns included) across random 1-64-way geometries, all three
- *    ReplacementKinds, fetch widths 1-16 and next-line lead times
- *    {0, 7, 37}, each run once through the kernel lane
- *    (run_one_kernel + BatchedObserver) and once with keep_raw set,
- *    which takes the general lane (run_one + CollectingListener, which
- *    classifies every access as it happens).
- *    serialize_result omits raw intervals, so the two must be
- *    byte-identical.  On a mismatch the failing seed is printed with a
- *    greedily minimized program.
+ *    ReplacementKinds, fetch widths 1-16, next-line lead times
+ *    {0, 7, 37} and keep_raw on or off, each run once through
+ *    run_experiment (the engine driving the caller's workload through
+ *    a BatchedObserver) and once through a test-side reference run:
+ *    the per-op core (reference_core.hpp) driving a listener that
+ *    classifies every access as it happens, into the per-operation
+ *    collector and next-line oracles.  The two must be byte-identical
+ *    under serialize_result, and with keep_raw their raw intervals must
+ *    match.  On a mismatch the failing seed is printed with a greedily
+ *    minimized program.
  *
  *  - Bare cache level: identical address streams, with interleaved
  *    invalidations, driven through a sim::Cache and the test-side
@@ -105,6 +107,7 @@ struct ProgramSpec
     std::uint64_t instructions = 0;
     std::uint32_t fetch_width = 4;
     Cycles nl_lead_time = 0;
+    bool keep_raw = false;
 };
 
 workload::DataPatternPtr
@@ -283,32 +286,139 @@ random_program(std::uint64_t seed)
     spec.fetch_width = 1 + static_cast<std::uint32_t>(rng.next_below(16));
     const Cycles leads[] = {0, 7, 37};
     spec.nl_lead_time = leads[rng.next_below(3)];
+    spec.keep_raw = rng.next_bool(0.5);
     return spec;
 }
 
 ExperimentConfig
-config_for(const ProgramSpec &spec, bool keep_raw)
+config_for(const ProgramSpec &spec)
 {
     ExperimentConfig config;
     config.instructions = spec.instructions;
     config.hierarchy = spec.hierarchy;
     config.core.fetch_width = spec.fetch_width;
     config.nl_lead_time = spec.nl_lead_time;
-    config.keep_raw = keep_raw;
+    config.keep_raw = spec.keep_raw;
     return config;
 }
 
-/** Run one spec through both run lanes; true iff byte-identical. */
+/**
+ * The reference run's listener: classifies each access as it happens,
+ * in the order the engine's observer classifies its log — open_since,
+ * next-line covers, the collector, next-line record, plus the stride
+ * predictor on the D side.
+ */
+class ReferenceListener
+{
+  public:
+    ReferenceListener(const ExperimentConfig &config,
+                      oracle::ReferenceCollector *icollector,
+                      oracle::ReferenceCollector *dcollector)
+        : iline_shift_(config.hierarchy.l1i.line_shift()),
+          dline_shift_(config.hierarchy.l1d.line_shift()),
+          icollector_(icollector), dcollector_(dcollector),
+          stride_(config.stride), lead_(config.nl_lead_time)
+    {
+    }
+
+    void
+    on_instr(Cycle cycle, Pc pc, const sim::HierarchyResult &result)
+    {
+        const Addr block = pc >> iline_shift_;
+        bool nl = false;
+        Cycle since = 0;
+        if (icollector_->open_since(result.l1.frame, since))
+            nl = imonitor_.covers(block, since, cycle, lead_);
+        icollector_->on_access(result.l1.frame, cycle, result.l1.hit,
+                               /*stride_predicted=*/false, nl);
+        imonitor_.record(block, cycle);
+    }
+
+    void
+    on_data(Cycle cycle, Pc pc, Addr addr, bool /*is_store*/,
+            const sim::HierarchyResult &result)
+    {
+        const Addr block = addr >> dline_shift_;
+        const bool stride_hit = stride_.access(pc, addr);
+        bool nl = false;
+        Cycle since = 0;
+        if (dcollector_->open_since(result.l1.frame, since))
+            nl = dmonitor_.covers(block, since, cycle, lead_);
+        dcollector_->on_access(result.l1.frame, cycle, result.l1.hit,
+                               stride_hit, nl);
+        dmonitor_.record(block, cycle);
+    }
+
+  private:
+    std::uint32_t iline_shift_;
+    std::uint32_t dline_shift_;
+    oracle::ReferenceCollector *icollector_;
+    oracle::ReferenceCollector *dcollector_;
+    prefetch::StridePredictor stride_;
+    Cycles lead_;
+    oracle::ReferenceNextLine imonitor_;
+    oracle::ReferenceNextLine dmonitor_;
+};
+
+/** What run_experiment must return for @p spec, from the oracles. */
+ExperimentResult
+reference_experiment(const ProgramSpec &spec)
+{
+    const ExperimentConfig config = config_for(spec);
+    auto workload = build_program(spec);
+    const auto edges =
+        interval::IntervalHistogramSet::default_edges(config.extra_edges);
+    sim::Hierarchy hierarchy(config.hierarchy);
+    ExperimentResult result{
+        CacheObservation(interval::IntervalHistogramSet(edges)),
+        CacheObservation(interval::IntervalHistogramSet(edges))};
+    result.workload = workload->name();
+
+    oracle::ReferenceCollector icollector(hierarchy.l1i().num_frames(),
+                                          &result.icache.intervals,
+                                          config.keep_raw);
+    oracle::ReferenceCollector dcollector(hierarchy.l1d().num_frames(),
+                                          &result.dcache.intervals,
+                                          config.keep_raw);
+    ReferenceListener listener(config, &icollector, &dcollector);
+    oracle::ReferenceCore core(config.core, &hierarchy, workload.get());
+    result.core = core.run_until(config.instructions,
+                                 cpu::InOrderCore::kNoCycleLimit, listener);
+    icollector.finalize(result.core.cycles);
+    dcollector.finalize(result.core.cycles);
+
+    result.icache.raw = icollector.raw();
+    result.dcache.raw = dcollector.raw();
+    result.icache.stats = hierarchy.l1i().stats();
+    result.dcache.stats = hierarchy.l1d().stats();
+    result.l2 = hierarchy.l2().stats();
+    return result;
+}
+
+/** Whether two raw interval lists agree field by field. */
+bool
+same_intervals(const std::vector<interval::Interval> &a,
+               const std::vector<interval::Interval> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const interval::Interval &x,
+                         const interval::Interval &y) {
+        return x.length == y.length && x.kind == y.kind && x.pf == y.pf &&
+               x.ends_in_reuse == y.ends_in_reuse;
+    });
+}
+
+/** Run one spec through the engine and the reference; true iff equal. */
 bool
 equivalent(const ProgramSpec &spec)
 {
-    auto kernel_workload = build_program(spec);
-    const ExperimentResult kernel = run_experiment(
-        *kernel_workload, config_for(spec, /*keep_raw=*/false));
-    auto general_workload = build_program(spec);
-    const ExperimentResult general = run_experiment(
-        *general_workload, config_for(spec, /*keep_raw=*/true));
-    return serialize_result(kernel) == serialize_result(general);
+    auto workload = build_program(spec);
+    const ExperimentResult engine = run_experiment(*workload, config_for(spec));
+    const ExperimentResult reference = reference_experiment(spec);
+    return serialize_result(engine) == serialize_result(reference) &&
+           same_intervals(engine.icache.raw, reference.icache.raw) &&
+           same_intervals(engine.dcache.raw, reference.dcache.raw) &&
+           engine.icache.raw.empty() != spec.keep_raw;
 }
 
 std::string
@@ -356,7 +466,8 @@ minimize_and_describe(ProgramSpec spec)
                       std::to_string(spec.instructions) +
                       " fetch_width=" + std::to_string(spec.fetch_width) +
                       " nl_lead_time=" +
-                      std::to_string(spec.nl_lead_time) + "\n";
+                      std::to_string(spec.nl_lead_time) +
+                      " keep_raw=" + std::to_string(spec.keep_raw) + "\n";
     for (const NodeSpec &node : spec.nodes)
         out += "  " + describe_node(node) + "\n";
     out += "  patterns=" + std::to_string(spec.patterns.size()) +
@@ -480,7 +591,7 @@ TEST(SingleCoreGolden, SerializedDigestsArePinned)
 
 /**
  * The main gate: 1000 random programs, every one byte-identical
- * across the kernel and general run lanes.
+ * between run_experiment and the reference run.
  */
 TEST(KernelEquivalence, FuzzedExperimentsAreByteIdentical)
 {
@@ -488,7 +599,7 @@ TEST(KernelEquivalence, FuzzedExperimentsAreByteIdentical)
     for (std::uint64_t seed = 1; seed <= kPrograms; ++seed) {
         const ProgramSpec spec = random_program(seed);
         if (!equivalent(spec)) {
-            FAIL() << "kernel/general lane divergence; minimized:\n"
+            FAIL() << "engine/reference divergence; minimized:\n"
                    << minimize_and_describe(spec);
         }
     }
@@ -766,18 +877,9 @@ TEST(CollectorLockstep, StampsMatchReference)
         EXPECT_TRUE(out.bytes() == reference_out.bytes())
             << "stream " << stream << ": serialized sets differ";
 
-        const auto &raw = collector.raw();
-        const auto &reference_raw = reference.raw();
-        ASSERT_EQ(raw.size(), reference_raw.size()) << "stream " << stream;
-        EXPECT_EQ(raw.empty(), !keep_raw) << "stream " << stream;
-        for (std::size_t i = 0; i < raw.size(); ++i) {
-            ASSERT_TRUE(raw[i].length == reference_raw[i].length &&
-                        raw[i].kind == reference_raw[i].kind &&
-                        raw[i].pf == reference_raw[i].pf &&
-                        raw[i].ends_in_reuse ==
-                            reference_raw[i].ends_in_reuse)
-                << "stream " << stream << " raw interval " << i;
-        }
+        EXPECT_TRUE(same_intervals(collector.raw(), reference.raw()))
+            << "stream " << stream << ": raw intervals differ";
+        EXPECT_EQ(collector.raw().empty(), !keep_raw) << "stream " << stream;
     }
 }
 

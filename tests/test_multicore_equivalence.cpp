@@ -2,9 +2,10 @@
  * @file
  * The multicore engine's contracts (src/multicore):
  *
- *  - N=1 reduction: the multicore interleaver's output is
- *    byte-identical (core::serialize_result) to the single-core
- *    engine's, with and without L2 collection;
+ *  - one core, two sources: a run over the caller's workload
+ *    instance is byte-identical (core::serialize_result) to a
+ *    one-entry-mix run, which builds its workload by name, with and
+ *    without L2 collection;
  *  - determinism: a multicore suite run is byte-identical between
  *    --jobs 1 and --jobs 4;
  *  - golden digests: committed serialize_result digests pin the
@@ -124,22 +125,19 @@ TEST(MulticoreReduction, N1IsByteIdenticalToTheSingleCoreEngine)
             core::ExperimentConfig config = small_config();
             config.collect_l2 = collect_l2;
 
-            const std::string single = single_core_bytes(name, config);
+            // The caller's workload instance (empty mix)...
+            const std::string borrowed = single_core_bytes(name, config);
 
-            // Through the engine directly (core_count=1, empty mix)...
-            config.core_count = 1;
-            const std::string direct = core::serialize_result(
-                multicore::run_multicore_summary(name, config));
-            EXPECT_EQ(single, direct)
-                << name << " collect_l2=" << collect_l2;
-
-            // ...and through run_experiment's dispatch (a non-empty
-            // one-entry mix routes to the interleaver).
+            // ...against a one-entry mix, whose core builds its own
+            // workload by name, through run_multicore and through
+            // run_experiment.
             config.workload_mix = {name};
-            auto workload = workload::make_benchmark(name);
-            const std::string dispatched = core::serialize_result(
-                core::run_experiment(*workload, config));
-            EXPECT_EQ(single, dispatched)
+            const std::string direct = core::serialize_result(
+                multicore::run_multicore(name, config)
+                    .to_experiment_result());
+            EXPECT_EQ(borrowed, direct)
+                << name << " collect_l2=" << collect_l2;
+            EXPECT_EQ(borrowed, single_core_bytes(name, config))
                 << name << " collect_l2=" << collect_l2;
         }
     }
@@ -214,7 +212,8 @@ TEST(MulticoreGolden, SerializedDigestsArePinned)
         config.core_count = static_cast<std::uint32_t>(golden.mix.size());
         config.workload_mix = golden.mix;
         const std::string bytes = core::serialize_result(
-            multicore::run_multicore_summary(golden.mix.front(), config));
+            multicore::run_multicore(golden.mix.front(), config)
+                .to_experiment_result());
         const std::string actual =
             util::hex64(util::fnv1a(bytes.data(), bytes.size()));
         EXPECT_EQ(actual, golden.digest)
@@ -475,7 +474,7 @@ TEST(MulticoreFingerprint, SerializedResultsRoundTrip)
     config.core_count = 2;
     config.workload_mix = {"stream", "gzip"};
     const core::ExperimentResult result =
-        multicore::run_multicore_summary("stream", config);
+        multicore::run_multicore("stream", config).to_experiment_result();
     const std::string bytes = core::serialize_result(result);
     auto restored = core::deserialize_result(bytes);
     ASSERT_TRUE(restored.has_value());

@@ -221,6 +221,21 @@ TEST(Rng, BoundsRespected)
     }
 }
 
+TEST(Rng, NextInTakesTheFullRange)
+{
+    // [0, 2^64 - 1] is one raw draw; every other range, the full range
+    // less one value included, draws exactly as next_below.
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    Rng r(11), twin(11);
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(r.next_in(0, kMax), twin.next_u64());
+        EXPECT_EQ(r.next_in(1, kMax), 1 + twin.next_below(kMax));
+        EXPECT_EQ(r.next_in(0, kMax - 1), twin.next_below(kMax));
+        EXPECT_EQ(r.next_in(5, 9), 5 + twin.next_below(5));
+    }
+    EXPECT_EQ(r.next_u64(), twin.next_u64()); // same draws consumed
+}
+
 TEST(Rng, UniformityRough)
 {
     Rng r(99);

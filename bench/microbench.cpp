@@ -161,13 +161,43 @@ BM_NextLineMonitor(benchmark::State &state)
 {
     // One observation's monitor work, covers (block-1) then record
     // (block), over a 32K-block region walked in order (arg 0) or at
-    // random (arg 1): the paged table's best and worst case.
+    // random (arg 1): the paged table's best and worst case.  Arg 2
+    // alternates among four regions at random bases, the way a
+    // call-graph body mixes references: a stack (a 32-block window
+    // that drifts), two hot 256-block tables read at random, and a
+    // stream; that is the case a page memo must keep several pages for.
     constexpr std::size_t kBlocks = 1 << 15;
     std::vector<Addr> blocks(kBlocks);
     util::Rng rng(6);
-    for (std::size_t i = 0; i < kBlocks; ++i)
-        blocks[i] = 0x40000 + (state.range(0) != 0 ? rng.next_below(kBlocks)
-                                                    : i);
+    Addr bases[4];
+    for (Addr &base : bases)
+        base = rng.next_below(Addr{1} << 24);
+    Addr stack = 0;
+    for (std::size_t i = 0; i < kBlocks; ++i) {
+        switch (state.range(0)) {
+          case 0:
+            blocks[i] = 0x40000 + i;
+            break;
+          case 1:
+            blocks[i] = 0x40000 + rng.next_below(kBlocks);
+            break;
+          default:
+            switch (i & 3) {
+              case 0:
+                stack = (stack + rng.next_below(3)) & 1023;
+                blocks[i] = bases[0] + stack / 32 + rng.next_below(32);
+                break;
+              case 1:
+              case 2:
+                blocks[i] = bases[i & 3] + rng.next_below(256);
+                break;
+              default:
+                blocks[i] = bases[3] + i / 4;
+                break;
+            }
+            break;
+        }
+    }
     prefetch::NextLineMonitor monitor;
     Cycle cycle = 0;
     std::size_t i = 0;
@@ -180,7 +210,7 @@ BM_NextLineMonitor(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_NextLineMonitor)->Arg(0)->Arg(1);
+BENCHMARK(BM_NextLineMonitor)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_PolicyEvaluation(benchmark::State &state)

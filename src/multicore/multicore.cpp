@@ -635,11 +635,19 @@ run_multicore(workload::Workload &workload,
     return run(workload.name(), single ? &workload : nullptr, config);
 }
 
+namespace {
+
+/**
+ * The flattened result of @p run, starting from core 0's observations
+ * @p ic and @p dc and the L2 population @p l2cache (copies or moved
+ * out of @p run; nothing else of core 0's is read but its stats).
+ */
 core::ExperimentResult
-MulticoreResult::to_experiment_result() const
+flatten(const MulticoreResult &run, core::CacheObservation ic,
+        core::CacheObservation dc,
+        std::optional<core::CacheObservation> l2cache)
 {
-    core::CacheObservation ic = cores.front().icache;
-    core::CacheObservation dc = cores.front().dcache;
+    const std::vector<CoreOutcome> &cores = run.cores;
     cpu::CoreRunStats stats = cores.front().stats;
     for (std::size_t i = 1; i < cores.size(); ++i) {
         ic.intervals.merge(cores[i].icache.intervals);
@@ -655,14 +663,30 @@ MulticoreResult::to_experiment_result() const
     }
     // The run's wall-clock extent is the slowest core's, not a sum —
     // exactly the end-of-run timestamp every collector finalized at.
-    stats.cycles = end_cycle;
+    stats.cycles = run.end_cycle;
 
     core::ExperimentResult result(std::move(ic), std::move(dc));
-    result.workload = label;
+    result.workload = run.label;
     result.core = stats;
-    result.l2cache = l2cache;
-    result.l2 = l2;
+    result.l2cache = std::move(l2cache);
+    result.l2 = run.l2;
     return result;
+}
+
+} // namespace
+
+core::ExperimentResult
+MulticoreResult::to_experiment_result() const &
+{
+    return flatten(*this, cores.front().icache, cores.front().dcache,
+                   l2cache);
+}
+
+core::ExperimentResult
+MulticoreResult::to_experiment_result() &&
+{
+    return flatten(*this, std::move(cores.front().icache),
+                   std::move(cores.front().dcache), std::move(l2cache));
 }
 
 } // namespace leakbound::multicore

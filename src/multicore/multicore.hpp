@@ -111,7 +111,14 @@ struct MulticoreResult
      * cores, workload = label.  This is what core::run_experiment
      * returns.
      */
-    core::ExperimentResult to_experiment_result() const;
+    core::ExperimentResult to_experiment_result() const &;
+
+    /**
+     * The same result, moving core 0's observations and l2cache out of
+     * this one instead of copying them (core::run_experiment flattens
+     * its temporary this way).
+     */
+    core::ExperimentResult to_experiment_result() &&;
 };
 
 /**

@@ -34,11 +34,12 @@ NextLineMonitor::find_page(Addr page) const
     std::uint64_t at;
     if (!index_.get(page, at))
         return kUntouched.data();
-    memo_page_ = page;
     // The memo is written through by record(), which only a non-const
     // monitor can call.
-    memo_ = const_cast<std::uint64_t *>(pages_[at].data());
-    return memo_;
+    MemoEntry &memo = memo_[page & kMemoMask];
+    memo.page = page;
+    memo.stamps = const_cast<std::uint64_t *>(pages_[at].data());
+    return memo.stamps;
 }
 
 std::uint64_t *
@@ -47,12 +48,13 @@ NextLineMonitor::page_for_record(Addr page)
     std::uint64_t at;
     if (!index_.get(page, at)) {
         at = pages_.size();
-        pages_.emplace_back(); // zeroed; may move every page
+        pages_.emplace_back(); // zeroed; moves no other page
         index_.put(page, at);
     }
-    memo_page_ = page;
-    memo_ = pages_[at].data();
-    return memo_;
+    MemoEntry &memo = memo_[page & kMemoMask];
+    memo.page = page;
+    memo.stamps = pages_[at].data();
+    return memo.stamps;
 }
 
 void
@@ -88,8 +90,7 @@ NextLineMonitor::reset()
 {
     pages_.clear();
     index_.clear();
-    memo_page_ = kNoPage;
-    memo_ = nullptr;
+    memo_.fill(MemoEntry{});
     covered_ = 0;
 }
 

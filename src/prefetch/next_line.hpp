@@ -14,16 +14,22 @@
  *
  * The table is paged: each page holds the last access of 64 adjacent
  * blocks as `cycle + 1` (0 = never), 512 B, and pages are found
- * through a one-page memo in front of a FlatMap page index.  Every
- * access asks about block-1 and then records block, which share a page
- * 63 times in 64, so the common case touches one host cache line with
- * no hashing at all.
+ * through a 16-entry direct-mapped memo (slot = page number mod 16) in
+ * front of a FlatMap page index.  Every access asks about block-1 and
+ * then records block, which share a page 63 times in 64, and a program
+ * interleaves a few regions (stack, hot tables, streams), whose pages
+ * mostly sit in different memo slots; so the common case touches one
+ * memo line and one page line with no hashing at all.  Pages live in a
+ * std::deque, which never moves them, so the memo's pointers stay
+ * valid while the store and the index grow.
  */
 
 #ifndef LEAKBOUND_PREFETCH_NEXT_LINE_HPP
 #define LEAKBOUND_PREFETCH_NEXT_LINE_HPP
 
 #include <array>
+#include <cstddef>
+#include <deque>
 #include <vector>
 
 #include "util/flat_map.hpp"
@@ -46,8 +52,9 @@ class NextLineMonitor
     record(Addr block, Cycle cycle)
     {
         const Addr page = block >> kPageShift;
+        const MemoEntry &memo = memo_[page & kMemoMask];
         std::uint64_t *stamps =
-            page == memo_page_ ? memo_ : page_for_record(page);
+            memo.page == page ? memo.stamps : page_for_record(page);
         stamps[block & kPageMask] = cycle + 1;
     }
 
@@ -73,8 +80,10 @@ class NextLineMonitor
         // block != 0 term below rejects whatever that reads.
         const Addr prev = block - 1;
         const Addr page = prev >> kPageShift;
-        const std::uint64_t stamp =
-            (page == memo_page_ ? memo_ : find_page(page))[prev & kPageMask];
+        const MemoEntry &memo = memo_[page & kMemoMask];
+        const std::uint64_t stamp = (memo.page == page ? memo.stamps
+                                                       : find_page(page))
+            [prev & kPageMask];
         const Cycle when = stamp - 1;
         const Cycle deadline =
             close_cycle >= lead_time ? close_cycle - lead_time : 0;
@@ -107,24 +116,36 @@ class NextLineMonitor
     static constexpr Addr kPageMask = kPageBlocks - 1;
     /** No page number (block >> kPageShift) reaches it. */
     static constexpr Addr kNoPage = ~Addr{0};
+    static constexpr std::size_t kMemoSlots = 16;
+    static constexpr Addr kMemoMask = kMemoSlots - 1;
 
     /** Last access + 1 of each block of one page; 0 = never. */
     using Page = std::array<std::uint64_t, kPageBlocks>;
 
+    /** A page number (kNoPage for none) and its stamps. */
+    struct MemoEntry
+    {
+        Addr page = kNoPage;
+        std::uint64_t *stamps = nullptr;
+    };
+
     /**
-     * The page's stamps, or a shared all-zero page (not memoized, so
-     * record() never writes it) when nothing on it was recorded.
+     * The page's stamps, memoized in its slot, or a shared all-zero
+     * page (not memoized, so record() never writes it) when nothing on
+     * it was recorded.
      */
     const std::uint64_t *find_page(Addr page) const;
 
-    /** The page's stamps, allocating a zeroed page on first use. */
+    /**
+     * The page's stamps, memoized in its slot, allocating a zeroed page
+     * on first use.
+     */
     std::uint64_t *page_for_record(Addr page);
 
-    std::vector<Page> pages_;
+    std::deque<Page> pages_;
     util::FlatMap index_; ///< page number -> position in pages_
-    /** The last page looked up (its stamps at memo_), or kNoPage. */
-    mutable Addr memo_page_ = kNoPage;
-    mutable std::uint64_t *memo_ = nullptr;
+    /** Recently looked-up pages, each in slot page & kMemoMask. */
+    mutable std::array<MemoEntry, kMemoSlots> memo_{};
     mutable std::uint64_t covered_ = 0;
 };
 

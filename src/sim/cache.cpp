@@ -2,7 +2,9 @@
  * @file
  * Implementation of the set-associative cache model: construction,
  * invalidation and state snapshots.  The access path lives in
- * cache.hpp so it inlines into the simulation loop.
+ * cache.hpp, where the compiler sees all of it; a Release build still
+ * calls access() out of line, and only the same-block filter
+ * (repeat_hit) is inlined, into sim::Hierarchy::access_instr.
  */
 
 #include "sim/cache.hpp"

@@ -9,9 +9,11 @@
  * block resident in it).
  *
  * One decision path serves every associativity: each frame carries a
- * recency stamp drawn from one per-cache clock, and the per-access
- * logic is inlined once per ReplacementKind.  The per-access oracle it
- * is differentially tested against lives in tests/ (DESIGN.md
+ * recency stamp drawn from one per-cache clock, and access() holds the
+ * per-access logic once per ReplacementKind.  A Release build calls
+ * access() out of line; what a caller can take inline is the
+ * same-block filter, repeat_hit().  The per-access oracle the cache is
+ * differentially tested against lives in tests/ (DESIGN.md
  * "Simulation kernel").
  */
 
@@ -76,6 +78,31 @@ class Cache
             return access<ReplacementKind::Random>(addr);
         }
         LEAKBOUND_PANIC("unreachable: bad ReplacementKind");
+    }
+
+    /**
+     * The same-block filter alone: when @p addr lies in the block this
+     * cache accessed last, count the hit, set @p result to a hit on
+     * that block's frame and return true; otherwise change nothing and
+     * return false.  After any access the accessed block is resident,
+     * and nothing touches this cache between two of its own accesses,
+     * so a repeat of the previous block is a sure hit to the same
+     * frame.  Under LRU that frame already holds the newest stamp, so
+     * skipping its bump changes no recency order; FIFO and Random do
+     * nothing on hits.  Defined here so that a caller can take repeats
+     * inline (sim::Hierarchy::access_instr) and call access() only for
+     * the rest.
+     */
+    bool
+    repeat_hit(Addr addr, AccessResult &result)
+    {
+        if (addr >> line_shift_ != last_block_)
+            return false;
+        ++stats_.accesses;
+        ++stats_.hits;
+        result.hit = true;
+        result.frame = last_frame_;
+        return true;
     }
 
     /**
@@ -153,30 +180,18 @@ class Cache
     AccessResult
     access(Addr addr)
     {
+        // Fetch groups walk an I-line 4 groups at a time and
+        // unit-stride data walks a D-line 8 draws at a time, so the
+        // same-block filter skips most set scans.
+        AccessResult result;
+        if (repeat_hit(addr, result))
+            return result;
+
         const Addr block = addr >> line_shift_;
-
-        // Same-block filter: after any access the accessed block is
-        // resident, and nothing touches this cache between two of its
-        // own accesses, so a repeat of the previous block is a
-        // guaranteed hit to the same frame.  Under LRU that frame
-        // already holds the newest stamp, so skipping its bump changes
-        // no recency order; FIFO and Random do nothing on hits.  Fetch groups
-        // walk an I-line 4 groups at a time and unit-stride data walks
-        // a D-line 8 draws at a time, so this skips most set scans.
-        if (block == last_block_) {
-            ++stats_.accesses;
-            ++stats_.hits;
-            AccessResult repeat;
-            repeat.hit = true;
-            repeat.frame = last_frame_;
-            return repeat;
-        }
-
         const std::uint64_t base = (block & set_mask_) * ways_;
 
         ++stats_.accesses;
 
-        AccessResult result;
         std::uint32_t invalid_way = ways_; // sentinel
         for (std::uint32_t w = 0; w < ways_; ++w) {
             if (!valid_[base + w]) {

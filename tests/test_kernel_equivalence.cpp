@@ -31,8 +31,16 @@
  *
  *  - Next-line tables: the paged prefetch::NextLineMonitor against the
  *    FlatMap-backed oracle (reference_next_line.hpp) over seeded
- *    streams of record, covers, append_state and reset, asserting every
- *    answer and snapshot.
+ *    streams of record, covers, append_state and reset, some wide
+ *    enough to grow the page index and store under the memo,
+ *    asserting every answer and snapshot.
+ *
+ *  - Observation: core::BatchedObserver (fetch-run records, repeat
+ *    buffer, same-block data runs) against the same inline reference
+ *    classification the experiment-level reference run uses, over
+ *    seeded access streams through a random hierarchy, with remote
+ *    kills and flushes at random points, asserting the serialized
+ *    sets, the raw intervals and the access counts.
  *
  *  - Interval collection: interval::IntervalCollector (one stamp per
  *    frame, bins written through a set's write view) against the
@@ -61,6 +69,7 @@
 #include <vector>
 
 #include "core/artifact_cache.hpp"
+#include "core/batched_observer.hpp"
 #include "core/experiment.hpp"
 #include "core_fixtures.hpp"
 #include "cpu/inorder_core.hpp"
@@ -347,6 +356,15 @@ class ReferenceListener
         dcollector_->on_access(result.l1.frame, cycle, result.l1.hit,
                                stride_hit, nl);
         dmonitor_.record(block, cycle);
+    }
+
+    /** A remote kill of the copy in L1D @p frame at @p cycle. */
+    void
+    on_invalidation(Cycle cycle, FrameId frame)
+    {
+        dcollector_->on_access(frame, cycle, /*reuse=*/false,
+                               /*stride_predicted=*/false,
+                               /*nl_covered=*/false);
     }
 
   private:
@@ -716,15 +734,21 @@ TEST(KernelEquivalence, ResetRestoresColdBehaviour)
  * Paged next-line tables against the FlatMap oracle.  The block streams
  * stress the paging: dense runs across page edges, k*64-1 next to
  * k*64 (block-1 on the previous page), blocks 0 and 1, and keys 2^40
- * apart (far pages through the index).  Every covers() answer (both
- * overloads, lead times 0/7/37 or random), covered() and every
- * append_state snapshot must match, through resets.
+ * apart (far pages through the index).  The last kWideStreams streams
+ * also draw blocks over 4096 pages and never reset, so the page index
+ * (512 slots, grown at 358 pages) and the page store grow several
+ * times while memo entries point into the store.  Every covers()
+ * answer (both overloads, lead times 0/7/37 or random), covered() and
+ * every append_state snapshot must match, through resets.
  */
 TEST(NextLine, PagedMatchesReference)
 {
     constexpr std::uint64_t kStreams = 24;
+    constexpr std::uint64_t kWideStreams = 8;
     constexpr std::uint64_t kSteps = 12'000;
-    for (std::uint64_t stream = 1; stream <= kStreams; ++stream) {
+    for (std::uint64_t stream = 1; stream <= kStreams + kWideStreams;
+         ++stream) {
+        const bool wide = stream > kStreams;
         util::Rng rng(stream * 0x9e3779b97f4a7c15ULL + 11);
         prefetch::NextLineMonitor paged;
         oracle::ReferenceNextLine reference;
@@ -733,7 +757,7 @@ TEST(NextLine, PagedMatchesReference)
         std::uint64_t covered_answers = 0;
 
         auto draw_block = [&]() -> Addr {
-            switch (rng.next_below(6)) {
+            switch (rng.next_below(wide ? 8 : 6)) {
               case 0:
                 return run++;
               case 1:
@@ -746,8 +770,10 @@ TEST(NextLine, PagedMatchesReference)
                 return rng.next_below(2); // blocks 0 and 1
               case 4:
                 return (rng.next_below(4) << 40) + rng.next_below(130);
-              default:
+              case 5:
                 return rng.next_below(1 << 14);
+              default:
+                return (Addr{5} << 40) + rng.next_below(Addr{64} << 12);
             }
         };
 
@@ -780,7 +806,7 @@ TEST(NextLine, PagedMatchesReference)
                 ASSERT_EQ(p, r) << "stream " << stream << " step " << step
                                 << " block " << block;
                 covered_answers += p;
-            } else if (op < 999) {
+            } else if (op < 999 || wide) {
                 std::vector<std::uint64_t> ps;
                 std::vector<std::uint64_t> rs;
                 const Cycle at = now + rng.next_below(100);
@@ -800,6 +826,156 @@ TEST(NextLine, PagedMatchesReference)
         reference.append_state(rs, now);
         EXPECT_EQ(ps, rs) << "stream " << stream;
         EXPECT_GT(covered_answers, 0u) << "stream " << stream;
+        if (wide) {
+            // The snapshot is a count, then (block, age) pairs.
+            std::vector<Addr> pages;
+            for (std::size_t i = 1; i < rs.size(); i += 2)
+                pages.push_back(rs[i] >> 6);
+            pages.erase(std::unique(pages.begin(), pages.end()),
+                        pages.end());
+            EXPECT_GT(pages.size(), 716u)
+                << "stream " << stream << ": the index grew too little";
+        }
+    }
+}
+
+/**
+ * core::BatchedObserver driven directly, in lockstep with the inline
+ * reference classification (ReferenceListener: open_since, covers, the
+ * per-operation collector, record, and a second StridePredictor on the
+ * D side, one event at a time).  A random hierarchy produces the access
+ * results.  Each stream is a chain of fetch runs of 1-40 groups (1-4 in
+ * half the streams, so the 256-record log fills before the repeat
+ * buffer; in the rest the repeat buffer fills first, mid-run), each
+ * group with 0-3 data accesses at its cycle: half repeat the previous
+ * access's block, the rest walk a stream or hit a small table, one PC
+ * per kind.  A run's line is often the next line, sometimes a
+ * return to an earlier one after a different one.  Remote kills
+ * (invalidate_block, then on_invalidation) break same-block data runs,
+ * and flushes come at random points.  After a final flush the
+ * serialized I and D sets, the raw intervals under keep_raw and
+ * num_accesses() must match.
+ */
+TEST(ObserverLockstep, RunsMatchInlineReference)
+{
+    constexpr std::uint64_t kStreams = 32;
+    for (std::uint64_t stream = 1; stream <= kStreams; ++stream) {
+        util::Rng rng(stream * 0x9e3779b97f4a7c15ULL + 53);
+        ExperimentConfig config;
+        config.hierarchy = random_hierarchy(rng);
+        const Cycles leads[] = {0, 7, 37};
+        config.nl_lead_time = leads[rng.next_below(3)];
+        config.keep_raw = rng.next_bool(0.5);
+        const std::uint64_t max_run = stream % 2 ? 4 : 40;
+
+        sim::Hierarchy hierarchy(config.hierarchy);
+        const std::uint64_t iframes = hierarchy.l1i().num_frames();
+        const std::uint64_t dframes = hierarchy.l1d().num_frames();
+        const auto edges = interval::IntervalHistogramSet::default_edges(
+            standard_extra_edges());
+        interval::IntervalHistogramSet iset(edges), dset(edges);
+        interval::IntervalHistogramSet iref_set(edges), dref_set(edges);
+        interval::IntervalCollector icollector(iframes, &iset,
+                                               config.keep_raw);
+        interval::IntervalCollector dcollector(dframes, &dset,
+                                               config.keep_raw);
+        prefetch::StridePredictor stride(config.stride);
+        BatchedObserver observer(config.hierarchy, &icollector, &dcollector,
+                                 &stride, config.nl_lead_time);
+        oracle::ReferenceCollector iref(iframes, &iref_set, config.keep_raw);
+        oracle::ReferenceCollector dref(dframes, &dref_set, config.keep_raw);
+        ReferenceListener reference(config, &iref, &dref);
+
+        const Pc iline = config.hierarchy.l1i.line_bytes;
+        const Addr dline = config.hierarchy.l1d.line_bytes;
+        Pc line = kCodeBase;
+        Addr addr = kHeapBase;
+        Addr streaming = kHeapBase + (1 << 20);
+        Cycle cycle = 0;
+        std::uint64_t kills = 0;
+        for (std::uint64_t run = 0; run < 1'500; ++run) {
+            const std::uint64_t pick = rng.next_below(8);
+            if (pick < 4)
+                line += iline; // fall through to the next line
+            else if (pick < 7)
+                line = kCodeBase + rng.next_below(48) * iline; // loop back
+            // else the same line: the observer's run goes on
+
+            const std::uint64_t groups = 1 + rng.next_below(max_run);
+            for (std::uint64_t g = 0; g < groups; ++g) {
+                const Pc pc = line + rng.next_below(iline / 4) * 4;
+                for (std::uint64_t d = rng.next_below(4); d != 0; --d) {
+                    const std::uint64_t kind = rng.next_below(4);
+                    if (kind == 0)
+                        addr = streaming += 8;
+                    else if (kind == 1)
+                        addr = kHeapBase + rng.next_below(64) * dline;
+                    else
+                        addr = (addr & ~(dline - 1)) +
+                               rng.next_below(dline / 8) * 8;
+                    // One PC per kind, so the stride table learns the
+                    // stream, same-block repeats included.
+                    const Pc dpc = kCodeBase + kind * 4;
+                    const bool is_store = rng.next_bool(0.3);
+                    const sim::HierarchyResult res =
+                        hierarchy.access_data(addr);
+                    observer.on_data(cycle, dpc, addr, is_store, res);
+                    reference.on_data(cycle, dpc, addr, is_store, res);
+                }
+                if (rng.next_bool(0.05)) {
+                    // A remote store kills the current block or another.
+                    const Addr victim =
+                        rng.next_bool(0.5)
+                            ? addr / dline
+                            : (kHeapBase / dline) + rng.next_below(64);
+                    const FrameId frame =
+                        hierarchy.l1d().invalidate_block(victim);
+                    if (frame != kInvalidFrame) {
+                        observer.on_invalidation(cycle, frame);
+                        reference.on_invalidation(cycle, frame);
+                        ++kills;
+                    }
+                }
+                const sim::HierarchyResult res = hierarchy.access_instr(pc);
+                observer.on_instr(cycle, pc, res);
+                reference.on_instr(cycle, pc, res);
+                cycle += 1 + (res.latency > 1 ? res.latency / 2 : 0) +
+                         (rng.next_bool(0.01) ? rng.next_below(5'000) : 0);
+                if (rng.next_bool(0.002))
+                    observer.flush();
+            }
+        }
+        observer.flush();
+
+        ASSERT_EQ(icollector.num_accesses(), iref.num_accesses())
+            << "stream " << stream;
+        ASSERT_EQ(dcollector.num_accesses(), dref.num_accesses())
+            << "stream " << stream;
+        EXPECT_EQ(icollector.num_accesses(),
+                  hierarchy.l1i().stats().accesses)
+            << "stream " << stream;
+        EXPECT_EQ(dcollector.num_accesses(),
+                  hierarchy.l1d().stats().accesses + kills)
+            << "stream " << stream;
+        icollector.finalize(cycle);
+        dcollector.finalize(cycle);
+        iref.finalize(cycle);
+        dref.finalize(cycle);
+        const auto bytes = [](const interval::IntervalHistogramSet &set) {
+            util::BinaryWriter out;
+            set.serialize(out);
+            return out.bytes();
+        };
+        EXPECT_TRUE(bytes(iset) == bytes(iref_set))
+            << "stream " << stream << ": I sets differ";
+        EXPECT_TRUE(bytes(dset) == bytes(dref_set))
+            << "stream " << stream << ": D sets differ";
+        EXPECT_TRUE(same_intervals(icollector.raw(), iref.raw()))
+            << "stream " << stream << ": I raw intervals differ";
+        EXPECT_TRUE(same_intervals(dcollector.raw(), dref.raw()))
+            << "stream " << stream << ": D raw intervals differ";
+        EXPECT_EQ(icollector.raw().empty(), !config.keep_raw)
+            << "stream " << stream;
     }
 }
 

@@ -15,30 +15,18 @@
  * Flags come from the shared core/suite_flags.hpp family
  * (--instructions/--jobs/--cache-dir/--json) plus the load shape
  * (--requests/--concurrency/--workers), so the bench, the daemon and
- * the client all spell their knobs the same way.
- *
- * With --shards N the daemon side becomes a supervised fleet: a
- * supervisor process (forked before this process grows threads) runs
- * N shard children on a shared artifact cache, and the warm load is
- * fingerprint-routed across them with failover — the sharded
- * configuration must hold the single-daemon throughput line.
+ * the client all spell their knobs the same way.  --workers is also
+ * the number of the daemon's event loops.
  */
 
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <memory>
 #include <thread>
-#include <vector>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "core/artifact_cache.hpp"
 #include "core/suite_flags.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
-#include "serve/supervisor.hpp"
 #include "util/binary_io.hpp"
 #include "util/cli.hpp"
 #include "util/fault_injection.hpp"
@@ -60,33 +48,9 @@ seconds_since(std::chrono::steady_clock::time_point begun)
         .count();
 }
 
-/** Lift the daemon's /stats JSON back into a StatsSnapshot (fleet
- *  mode, where the counters arrive merged over the wire). */
-serve::StatsSnapshot
-snapshot_from_json(const util::JsonValue &document)
-{
-    serve::StatsSnapshot stats;
-    auto u64 = [&](const char *key) -> std::uint64_t {
-        const util::JsonValue *field = document.find(key);
-        return field != nullptr && field->is_u64() ? field->u64_value()
-                                                   : 0;
-    };
-    stats.requests_served = u64("requests_served");
-    stats.dedup_hits = u64("dedup_hits");
-    stats.response_lru_hits = u64("response_lru_hits");
-    stats.response_lru_evictions = u64("response_lru_evictions");
-    stats.cache_hits = u64("cache_hits");
-    stats.rejected_overloaded = u64("rejected_overloaded");
-    stats.rejected_deadline = u64("rejected_deadline");
-    stats.protocol_errors = u64("protocol_errors");
-    stats.sessions_accepted = u64("sessions_accepted");
-    stats.open_connections = u64("open_connections");
-    return stats;
-}
-
 std::string
 render_report(const util::Cli &cli, const serve::ServerConfig &config,
-              unsigned shards, double cold_seconds,
+              double cold_seconds,
               bool lru_probe_identical, const serve::LoadReport &load,
               const serve::StatsSnapshot &stats)
 {
@@ -97,7 +61,6 @@ render_report(const util::Cli &cli, const serve::ServerConfig &config,
         .value("leakboundd warm throughput and latency under "
                "held-open connections (epoll event loop + response "
                "LRU)");
-    w.key("shards").value(static_cast<std::uint64_t>(shards));
     w.key("flags").begin_object();
     for (const auto &[name, value] : cli.snapshot())
         w.key(name).value(value);
@@ -127,7 +90,6 @@ render_report(const util::Cli &cli, const serve::ServerConfig &config,
     w.key("latency_max_ms").value(load.latency_ms.max());
     w.key("distinct_fingerprints").value(load.distinct_fingerprints);
     w.key("distinct_responses").value(load.distinct_responses);
-    w.key("failovers").value(load.failovers);
     w.end_object();
     w.key("stats").begin_object();
     w.key("requests_served").value(stats.requests_served);
@@ -141,18 +103,36 @@ render_report(const util::Cli &cli, const serve::ServerConfig &config,
     w.key("sessions_accepted").value(stats.sessions_accepted);
     w.key("open_connections").value(stats.open_connections);
     w.end_object();
-    // The single-daemon epoll configuration this sharded run is
-    // measured against (PR 7: one process, TCP loopback, same load
-    // shape) — the fleet must not cost warm throughput.
-    w.key("baseline_single_daemon").begin_object();
-    w.key("io_model").value("one epoll process, TCP loopback");
-    w.key("throughput_rps").value(52749.23);
-    w.key("latency_p50_ms").value(0.541);
-    w.key("latency_p99_ms").value(1.107);
-    w.key("requests").value(static_cast<std::uint64_t>(4000));
-    w.key("concurrency").value(static_cast<std::uint64_t>(8));
-    w.key("idle_connections_held").value(
-        static_cast<std::uint64_t>(1000));
+    // The spread-traffic A/B that retired the shard fleet (a single
+    // fingerprint, as here, cannot show what parallel loops buy): one
+    // warm request per paper benchmark, then six leakbound-client
+    // --load 8000 --concurrency 2 --persistent --pipeline 4 at once, one
+    // per paper benchmark, on a unix socket; req/s = 48,000 / the six
+    // clients' wall time.  Ten rounds, arms in rotating order on fresh
+    // cache directories, Release, 4 vCPUs.
+    w.key("spread_traffic_ab").begin_object();
+    w.key("nproc").value(static_cast<std::uint64_t>(4));
+    w.key("rounds").value(static_cast<std::uint64_t>(10));
+    auto arm = [&w](const char *name, const char *daemon, double q1,
+                    double median, double q3) {
+        w.key(name).begin_object();
+        w.key("daemon").value(daemon);
+        w.key("q1_rps").value(q1);
+        w.key("median_rps").value(median);
+        w.key("q3_rps").value(q3);
+        w.end_object();
+    };
+    arm("shard_fleet",
+        "leakboundd --shards 4 --workers 1, clients --shards 4 (deleted)",
+        86200.0, 91100.0, 97300.0);
+    arm("one_event_loop", "leakboundd --workers 4, one event loop",
+        44900.0, 48900.0, 54200.0);
+    arm("loop_per_worker", "leakboundd --workers 4, four event loops",
+        133200.0, 134500.0, 139100.0);
+    w.key("loop_per_worker_wins_of_10").begin_object();
+    w.key("vs_shard_fleet").value(static_cast<std::uint64_t>(10));
+    w.key("vs_one_event_loop").value(static_cast<std::uint64_t>(10));
+    w.end_object();
     w.end_object();
     // The session-per-thread baseline this bench replaced (PR 5:
     // blocking I/O, no response LRU, 32 requests over 8 fresh
@@ -190,7 +170,8 @@ main(int argc, char **argv)
     cli.add_flag("requests", "warm-phase run requests", "64");
     cli.add_flag("concurrency", "client threads for the warm phase",
                  "8");
-    cli.add_flag("workers", "scheduler suite workers in the daemon",
+    cli.add_flag("workers",
+                 "scheduler suite workers, and event loops, in the daemon",
                  "2");
     cli.add_flag("connections",
                  "idle connections held open through the warm phase",
@@ -199,10 +180,6 @@ main(int argc, char **argv)
                  "requests each warm client keeps in flight on its "
                  "connection",
                  "8");
-    cli.add_flag("shards",
-                 "benchmark a supervised fleet of N shard processes "
-                 "instead of one in-process daemon (0 = single daemon)",
-                 "0");
     cli.parse(argc, argv);
 
     serve::ServerConfig config;
@@ -213,68 +190,6 @@ main(int argc, char **argv)
         core::resolve_cache_dir(cli.get("cache-dir"));
     config.scheduler.max_queue = cli.get_u64("requests");
 
-    const unsigned shards =
-        static_cast<unsigned>(cli.get_u64("shards"));
-    serve::Endpoint endpoint;
-    std::vector<serve::Endpoint> fleet;
-    std::unique_ptr<serve::Server> server;
-    std::thread serving;
-    pid_t fleet_pid = -1;
-    if (shards > 0) {
-        // Fleet mode: the supervisor must fork its shards, so it runs
-        // in a child forked NOW, while this process is still
-        // single-threaded; the bench process stays a pure client.
-        config.unix_path = "/tmp/bench_serve_fleet_" +
-                           std::to_string(::getpid()) + ".sock";
-        serve::SupervisorConfig fc;
-        fc.shards = shards;
-        fc.shard = config;
-        std::fflush(stdout);
-        std::fflush(stderr);
-        fleet_pid = ::fork();
-        if (fleet_pid == 0) {
-            serve::Supervisor supervisor(std::move(fc));
-            if (util::Status started = supervisor.start();
-                !started.ok()) {
-                util::warn("cannot start fleet: ",
-                           started.to_string());
-                std::_Exit(1);
-            }
-            std::_Exit(supervisor.run().ok() ? 0 : 1);
-        }
-        if (fleet_pid < 0)
-            util::fatal("cannot fork the fleet supervisor");
-        endpoint.unix_path = config.unix_path;
-        fleet = serve::fleet_endpoints(endpoint, shards);
-        // Wait until the control plane answers ping.
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(15);
-        bool up = false;
-        while (std::chrono::steady_clock::now() < deadline) {
-            if (serve::call_endpoint(endpoint,
-                                     serve::build_ping_request(),
-                                     serve::kDefaultMaxFrameBytes,
-                                     nullptr)) {
-                up = true;
-                break;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        }
-        if (!up)
-            util::fatal("fleet never became ready");
-    } else {
-        config.listen_tcp = true; // ephemeral loopback port
-        server = std::make_unique<serve::Server>(config);
-        if (util::Status started = server->start(); !started.ok())
-            util::fatal("cannot start the daemon: ",
-                        started.to_string());
-        serving = std::thread([&server] {
-            if (util::Status served = server->serve(); !served.ok())
-                util::warn("serve failed: ", served.to_string());
-        });
-        endpoint.tcp_port = server->tcp_port();
-    }
-
     serve::RunRequest request;
     request.benchmarks = util::split(cli.get("benchmarks"), ',');
     for (const std::string &name : request.benchmarks)
@@ -282,27 +197,25 @@ main(int argc, char **argv)
             util::fatal("unknown benchmark \"", name, "\"");
     request.instructions = cli.get_u64("instructions");
 
-    // One run request, fingerprint-routed in fleet mode.
+    config.listen_tcp = true; // ephemeral loopback port
+    serve::Server server(config);
+    if (util::Status started = server.start(); !started.ok())
+        util::fatal("cannot start the daemon: ", started.to_string());
+    std::thread serving([&server] {
+        if (util::Status served = server.serve(); !served.ok())
+            util::warn("serve failed: ", served.to_string());
+    });
+    serve::Endpoint endpoint;
+    endpoint.tcp_port = server.tcp_port();
+
     auto call_once = [&](std::string *raw) {
-        if (shards > 0)
-            return serve::call_fleet(fleet, request,
-                                     serve::FailoverPolicy{},
-                                     serve::kDefaultMaxFrameBytes, raw,
-                                     nullptr);
         return serve::call_endpoint(endpoint,
                                     serve::build_run_request(request),
                                     serve::kDefaultMaxFrameBytes, raw);
     };
     auto teardown = [&] {
-        if (fleet_pid > 0) {
-            ::kill(fleet_pid, SIGTERM);
-            (void)::waitpid(fleet_pid, nullptr, 0);
-            fleet_pid = -1;
-        }
-        if (server) {
-            server->request_drain();
-            serving.join();
-        }
+        server.request_drain();
+        serving.join();
     };
 
     // Cold pass: one request simulates (and seeds both the artifact
@@ -334,27 +247,10 @@ main(int argc, char **argv)
         static_cast<unsigned>(cli.get_u64("connections"));
     options.persistent = true;
     options.pipeline = static_cast<unsigned>(cli.get_u64("pipeline"));
-    if (shards > 0)
-        options.fleet = fleet;
     const serve::LoadReport load =
         serve::run_load(endpoint, request, options);
 
-    serve::StatsSnapshot stats;
-    if (shards > 0) {
-        // The supervisor's control endpoint answers with the shard
-        // counters already merged (plus the fleet block, which the
-        // flags snapshot records implicitly via --shards).
-        auto merged = serve::call_endpoint(
-            endpoint, serve::build_stats_request(),
-            serve::kDefaultMaxFrameBytes, nullptr);
-        if (merged)
-            stats = snapshot_from_json(merged.value());
-        else
-            util::warn("fleet stats unavailable: ",
-                       merged.status().to_string());
-    } else {
-        stats = server->stats();
-    }
+    const serve::StatsSnapshot stats = server.stats();
     teardown();
 
     std::printf(
@@ -375,7 +271,7 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(stats.cache_hits));
 
     const std::string contents =
-        render_report(cli, config, shards, cold_seconds,
+        render_report(cli, config, cold_seconds,
                       lru_probe_identical, load, stats) +
         "\n";
     const std::string path = cli.get("json");

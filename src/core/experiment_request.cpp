@@ -200,20 +200,4 @@ fingerprint_request(const ExperimentRequest &request)
     return fp.digest();
 }
 
-unsigned
-route_shard(std::uint64_t fingerprint, unsigned shard_count)
-{
-    if (shard_count <= 1)
-        return 0;
-    // SplitMix64 finalizer before the reduction: Fingerprint digests
-    // are already mixed, but the home-shard choice must stay uniform
-    // under any future fingerprint scheme, and three multiplies are
-    // free next to a network round trip.
-    std::uint64_t x = fingerprint + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<unsigned>(x % shard_count);
-}
-
 } // namespace leakbound::core

@@ -93,16 +93,6 @@ decode_experiment_request(const util::JsonValue &body,
  */
 std::uint64_t fingerprint_request(const ExperimentRequest &request);
 
-/**
- * The home shard for a request with dedup key @p fingerprint in a
- * fleet of @p shard_count shards.  Both sides of the wire use this:
- * the client routes requests here first, so every copy of one request
- * lands on one shard and the PR 5 dedup map and PR 7 response LRU
- * keep working fleet-wide without any shared state.  Deterministic,
- * uniform (SplitMix64-finalized), and 0 when @p shard_count <= 1.
- */
-unsigned route_shard(std::uint64_t fingerprint, unsigned shard_count);
-
 } // namespace leakbound::core
 
 #endif // LEAKBOUND_CORE_EXPERIMENT_REQUEST_HPP

@@ -23,18 +23,4 @@ kind_name(IntervalKind kind)
     return "?";
 }
 
-const char *
-prefetch_class_name(PrefetchClass pf)
-{
-    switch (pf) {
-      case PrefetchClass::NonPrefetchable:
-        return "non-prefetchable";
-      case PrefetchClass::NextLine:
-        return "next-line";
-      case PrefetchClass::Stride:
-        return "stride";
-    }
-    return "?";
-}
-
 } // namespace leakbound::interval

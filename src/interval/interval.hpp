@@ -93,9 +93,6 @@ struct Interval
 /** Printable name of an IntervalKind. */
 const char *kind_name(IntervalKind kind);
 
-/** Printable name of a PrefetchClass. */
-const char *prefetch_class_name(PrefetchClass pf);
-
 } // namespace leakbound::interval
 
 #endif // LEAKBOUND_INTERVAL_INTERVAL_HPP

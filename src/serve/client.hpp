@@ -36,19 +36,6 @@ struct Endpoint
 /** Connect to @p endpoint (one fresh connection per call). */
 util::Expected<util::net::Socket> connect_endpoint(const Endpoint &endpoint);
 
-/**
- * Where shard @p shard of a fleet rooted at @p base listens.  The
- * naming convention is shared by the supervisor (which binds these)
- * and the client (which routes to them): unix shard i lives at
- * "<base>.<i>", TCP shard i at base port + 1 + i — the base endpoint
- * itself is the supervisor's control endpoint (ping/health/stats).
- */
-Endpoint shard_endpoint(const Endpoint &base, unsigned shard);
-
-/** All shard endpoints of a fleet of @p shards rooted at @p base. */
-std::vector<Endpoint> fleet_endpoints(const Endpoint &base,
-                                      unsigned shards);
-
 /** The client-facing shape of a "run" request. */
 struct RunRequest
 {
@@ -80,17 +67,6 @@ std::string build_run_request(const RunRequest &request);
 /** Render the one-member utility requests. */
 std::string build_stats_request();
 std::string build_ping_request();
-std::string build_health_request();
-
-/**
- * The dedup key of @p request exactly as the daemon will compute it
- * (build → parse → decode → core::fingerprint_request), so the
- * client's routing key and the server's dedup/LRU key can never
- * drift apart.  InvalidArgument when the request would be rejected
- * server-side anyway.
- */
-util::Expected<std::uint64_t>
-fingerprint_run_request(const RunRequest &request);
 
 /**
  * One request/response round trip on @p socket: send @p request_json
@@ -111,46 +87,6 @@ call_endpoint(const Endpoint &endpoint, const std::string &request_json,
               std::size_t max_frame = kDefaultMaxFrameBytes,
               std::string *raw_frame = nullptr);
 
-/** How call_fleet retries across shards. */
-struct FailoverPolicy
-{
-    /** Attempt ceiling (0 = twice around the fleet). */
-    unsigned max_attempts = 0;
-    /** Wall-clock retry budget across all attempts. */
-    int budget_ms = 5'000;
-    /** Capped-exponential backoff between attempts (PR 4 shape). */
-    int backoff_initial_ms = 5;
-    int backoff_cap_ms = 250;
-    /** Mixed with the request fingerprint for deterministic jitter. */
-    std::uint64_t jitter_seed = 0xfa110f3eULL;
-};
-
-/**
- * Is @p status a shard failure worth rerouting (connection refused,
- * peer vanished, truncated frame, orderly shard drain), as opposed to
- * a verdict about the request itself (InvalidArgument) or about load
- * the whole fleet shares (Overloaded — rerouting a deliberately shed
- * request would just stampede the next shard)?
- */
-bool failover_worthy(const util::Status &status);
-
-/**
- * One "run" round trip against a shard fleet: route to the home shard
- * (core::route_shard of the request fingerprint — the shard whose
- * dedup map and response LRU already know this request), then on
- * failover-worthy failures walk the ring with jittered
- * capped-exponential backoff until @p policy's attempt and wall-clock
- * budgets run out.  @p failovers (optional) is incremented once per
- * reroute.  The final failure is returned typed when no shard
- * answers.
- */
-util::Expected<util::JsonValue>
-call_fleet(const std::vector<Endpoint> &fleet, const RunRequest &request,
-           const FailoverPolicy &policy = {},
-           std::size_t max_frame = kDefaultMaxFrameBytes,
-           std::string *raw_frame = nullptr,
-           std::uint64_t *failovers = nullptr);
-
 /** What a load-generation run observed (the client prints this). */
 struct LoadReport
 {
@@ -166,8 +102,6 @@ struct LoadReport
     std::uint64_t distinct_responses = 0;
     /** Idle connections actually held open during the run. */
     std::uint64_t idle_connections_held = 0;
-    /** Requests rerouted to another shard at least once (fleet mode). */
-    std::uint64_t failovers = 0;
     util::LatencyRecorder latency_ms;
     double wall_seconds = 0.0;
 };
@@ -208,16 +142,6 @@ struct LoadOptions
      */
     unsigned pipeline = 1;
     std::size_t max_frame = kDefaultMaxFrameBytes;
-    /**
-     * Shard fleet for fingerprint routing + failover.  Non-empty turns
-     * on fleet mode: requests start at the fingerprint's home shard
-     * (the `endpoint` argument is ignored) and reroute on
-     * failover-worthy failures.  Persistent pipelined workers stay
-     * pinned to one shard per connection — that is what keeps dedup
-     * and the response LRU hot — and rotate only when it fails.
-     */
-    std::vector<Endpoint> fleet;
-    FailoverPolicy failover;
 };
 
 /**
@@ -230,11 +154,6 @@ struct LoadOptions
  */
 LoadReport run_load(const Endpoint &endpoint, const RunRequest &request,
                     const LoadOptions &options);
-
-/** Back-compat shorthand: closed loop, fresh connection per request. */
-LoadReport run_load(const Endpoint &endpoint, const RunRequest &request,
-                    std::uint64_t total, unsigned concurrency,
-                    std::size_t max_frame = kDefaultMaxFrameBytes);
 
 } // namespace leakbound::serve
 

@@ -6,13 +6,9 @@
  * Single-shot mode sends one run/stats/ping request and prints the
  * response JSON; `--load N --concurrency K` fires N identical run
  * requests from K threads and prints what came back (ok / overloaded /
- * dedup byte-identity / latency percentiles).  `--shards N` targets a
- * supervised fleet instead of a single daemon: run requests route to
- * their fingerprint's home shard and fail over to the next shard on
- * connection refusal, truncated frames or an orderly shard drain,
- * while ping/stats/health go to the supervisor's control endpoint
- * (the base socket/port).  Exit codes: 0 success, 1 the daemon
- * answered with an error or could not be reached, 2 usage errors.
+ * dedup byte-identity / latency percentiles).  Exit codes: 0 success,
+ * 1 the daemon answered with an error or could not be reached, 2
+ * usage errors.
  */
 
 #include <cstdio>
@@ -123,15 +119,9 @@ main(int argc, char **argv)
                  "per-request completion deadline; the daemon sheds "
                  "requests it cannot finish in time (0 = none)",
                  "0");
-    cli.add_flag("shards",
-                 "the daemon is a supervised fleet of N shards: route "
-                 "run requests by fingerprint and fail over on shard "
-                 "failure (0 = single daemon)",
-                 "0");
     cli.parse(argc, argv);
 
     const serve::Endpoint endpoint = endpoint_from_flags(cli);
-    const unsigned shards = static_cast<unsigned>(cli.get_u64("shards"));
 
     if (cli.get_bool("ping") || cli.get_bool("stats")) {
         const std::string request = cli.get_bool("ping")
@@ -176,25 +166,14 @@ main(int argc, char **argv)
     const std::uint64_t load = cli.get_u64("load");
     if (load == 0) {
         std::string raw;
-        std::uint64_t failovers = 0;
-        auto response =
-            shards > 0
-                ? serve::call_fleet(
-                      serve::fleet_endpoints(endpoint, shards), request,
-                      serve::FailoverPolicy{},
-                      serve::kDefaultMaxFrameBytes, &raw, &failovers)
-                : serve::call_endpoint(
-                      endpoint, serve::build_run_request(request),
-                      serve::kDefaultMaxFrameBytes, &raw);
+        auto response = serve::call_endpoint(
+            endpoint, serve::build_run_request(request),
+            serve::kDefaultMaxFrameBytes, &raw);
         if (!response) {
             std::fprintf(stderr, "leakbound-client: %s\n",
                          response.status().to_string().c_str());
             return 1;
         }
-        if (failovers > 0)
-            std::fprintf(stderr,
-                         "leakbound-client: rerouted %llu time(s)\n",
-                         static_cast<unsigned long long>(failovers));
         return emit_response(raw, cli);
     }
 
@@ -209,13 +188,11 @@ main(int argc, char **argv)
     if (cli.get_bool("idle"))
         options.idle_connections =
             static_cast<unsigned>(cli.get_u64("connections"));
-    if (shards > 0)
-        options.fleet = serve::fleet_endpoints(endpoint, shards);
     const serve::LoadReport report =
         serve::run_load(endpoint, request, options);
     std::printf(
         "load: %llu sent, %llu ok, %llu overloaded, %llu "
-        "shutting_down, %llu errors, %llu failover(s) in %.2fs "
+        "shutting_down, %llu errors in %.2fs "
         "(%llu idle connection(s) held)\n"
         "dedup: %llu distinct fingerprint(s), %llu distinct "
         "response body(ies)\n"
@@ -225,7 +202,6 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(report.overloaded),
         static_cast<unsigned long long>(report.shutting_down),
         static_cast<unsigned long long>(report.other_errors),
-        static_cast<unsigned long long>(report.failovers),
         report.wall_seconds,
         static_cast<unsigned long long>(report.idle_connections_held),
         static_cast<unsigned long long>(report.distinct_fingerprints),

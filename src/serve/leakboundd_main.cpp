@@ -6,15 +6,10 @@
  * then serves length-prefixed JSON experiment requests until SIGINT /
  * SIGTERM, at which point it drains: in-flight experiments finish and
  * answer their clients, queued ones fail with shutting_down, and the
- * process exits 0.
- *
- * With --shards N the process becomes a shard supervisor instead: N
- * forked children each run the event loop on a derived endpoint (unix
- * "<socket>.<i>", TCP base port + 1 + i) over the shared artifact
- * cache, while the parent keeps them alive (heartbeats, /health
- * probes, capped-backoff restarts, crash-loop breaker) and answers
- * ping/health/stats on the base endpoint.  See README "Running as a
- * service".
+ * process exits 0.  --workers N runs N experiment workers and N event
+ * loops over the listeners in this one process.  Restarting a crashed
+ * daemon is a process manager's job; ping and health requests are its
+ * probes.  See README "Running as a service".
  */
 
 #include <cstdio>
@@ -22,44 +17,12 @@
 #include "core/artifact_cache.hpp"
 #include "core/suite_flags.hpp"
 #include "serve/server.hpp"
-#include "serve/supervisor.hpp"
 #include "util/cli.hpp"
 #include "util/fault_injection.hpp"
 #include "util/interrupt.hpp"
 #include "util/logging.hpp"
 
 using namespace leakbound;
-
-namespace {
-
-int
-run_fleet(serve::SupervisorConfig config)
-{
-    serve::Supervisor supervisor(std::move(config));
-    if (util::Status started = supervisor.start(); !started.ok())
-        util::fatal("cannot start fleet: ", started.to_string());
-    std::fflush(stdout);
-
-    const util::Status ran = supervisor.run();
-    if (ran.ok()) {
-        std::printf("leakboundd: fleet drained cleanly (%llu restarts)\n",
-                    static_cast<unsigned long long>(
-                        supervisor.counters().restarts_total));
-        return 0;
-    }
-    if (ran.kind() == util::ErrorKind::CrashLoop) {
-        // The message IS the JSON incident report — print it whole so
-        // an operator (or the smoke test) can parse the exit.
-        std::fprintf(stderr, "leakboundd: crash-loop breaker tripped\n%s\n",
-                     ran.message().c_str());
-        return 1;
-    }
-    std::fprintf(stderr, "leakboundd: fleet drain failed: %s\n",
-                 ran.to_string().c_str());
-    return 1;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -83,7 +46,8 @@ main(int argc, char **argv)
                  "127.0.0.1");
     cli.add_flag("tcp-port", "TCP listen port (0 = kernel-assigned)",
                  "0");
-    cli.add_flag("workers", "concurrent experiment suites", "1");
+    cli.add_flag("workers",
+                 "concurrent experiment suites, and event loops", "1");
     cli.add_flag("queue-limit",
                  "requests admitted-but-not-started before new ones "
                  "are rejected overloaded",
@@ -98,32 +62,6 @@ main(int argc, char **argv)
                  "byte budget (MiB) of the rendered-response LRU "
                  "(0 disables it)",
                  "64");
-    cli.add_flag("shards",
-                 "run a supervised fleet of N shard processes instead "
-                 "of a single daemon (0 = single daemon)",
-                 "0");
-    cli.add_flag("heartbeat-timeout-ms",
-                 "fleet: heartbeat silence treated as a wedged shard",
-                 "5000");
-    cli.add_flag("health-interval-ms",
-                 "fleet: spacing of per-shard health probes",
-                 "1000");
-    cli.add_flag("restart-backoff-ms",
-                 "fleet: initial restart backoff (doubles, capped)",
-                 "100");
-    cli.add_flag("restart-backoff-cap-ms",
-                 "fleet: restart backoff ceiling", "5000");
-    cli.add_flag("restart-limit",
-                 "fleet: deaths tolerated per shard inside "
-                 "--restart-window-s before the crash-loop breaker "
-                 "trips",
-                 "5");
-    cli.add_flag("restart-window-s",
-                 "fleet: sliding window of the crash-loop breaker",
-                 "30");
-    cli.add_flag("drain-deadline-ms",
-                 "fleet: grace between SIGTERM fan-out and SIGKILL",
-                 "10000");
     cli.parse(argc, argv);
 
     serve::ServerConfig config;
@@ -142,42 +80,6 @@ main(int argc, char **argv)
     config.scheduler.suite_jobs = core::suite_jobs(cli);
     config.scheduler.cache_dir =
         core::resolve_cache_dir(cli.get("cache-dir"));
-
-    const unsigned shards =
-        static_cast<unsigned>(cli.get_u64("shards"));
-    if (shards > 0) {
-        serve::SupervisorConfig fleet;
-        fleet.shards = shards;
-        fleet.shard = std::move(config);
-        fleet.heartbeat_timeout_ms =
-            static_cast<int>(cli.get_u64("heartbeat-timeout-ms"));
-        fleet.health_interval_ms =
-            static_cast<int>(cli.get_u64("health-interval-ms"));
-        fleet.restart_backoff_initial_ms =
-            static_cast<int>(cli.get_u64("restart-backoff-ms"));
-        fleet.restart_backoff_cap_ms =
-            static_cast<int>(cli.get_u64("restart-backoff-cap-ms"));
-        fleet.restart_limit =
-            static_cast<unsigned>(cli.get_u64("restart-limit"));
-        fleet.restart_window_s =
-            static_cast<int>(cli.get_u64("restart-window-s"));
-        fleet.drain_deadline_ms =
-            static_cast<int>(cli.get_u64("drain-deadline-ms"));
-        if (!fleet.shard.unix_path.empty())
-            std::printf("leakboundd: supervising %u shard(s) on unix "
-                        "%s.{0..%u} (control on %s)\n",
-                        shards, fleet.shard.unix_path.c_str(), shards - 1,
-                        fleet.shard.unix_path.c_str());
-        if (fleet.shard.listen_tcp)
-            std::printf("leakboundd: supervising %u shard(s) on tcp "
-                        "%s:%u+1..%u (control on :%u)\n",
-                        shards, fleet.shard.tcp_host.c_str(),
-                        static_cast<unsigned>(fleet.shard.tcp_port),
-                        static_cast<unsigned>(fleet.shard.tcp_port) +
-                            shards,
-                        static_cast<unsigned>(fleet.shard.tcp_port));
-        return run_fleet(std::move(fleet));
-    }
 
     serve::Server server(std::move(config));
     if (util::Status bound = server.start(); !bound.ok())

@@ -79,46 +79,6 @@ recv_frame(const util::net::Socket &socket, std::size_t max_frame)
     return payload;
 }
 
-util::Expected<std::string>
-recv_frame_deadline(const util::net::Socket &socket,
-                    std::size_t max_frame, int deadline_ms)
-{
-    std::string header;
-    if (util::Status got = util::net::recv_exact_deadline(
-            socket, kFrameHeaderBytes, header, deadline_ms);
-        !got.ok())
-        return got;
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(header.data());
-    const std::uint32_t size =
-        static_cast<std::uint32_t>(bytes[0]) |
-        (static_cast<std::uint32_t>(bytes[1]) << 8) |
-        (static_cast<std::uint32_t>(bytes[2]) << 16) |
-        (static_cast<std::uint32_t>(bytes[3]) << 24);
-    if (size > max_frame) {
-        return util::Status(util::ErrorKind::CorruptData,
-                            "frame length prefix of " +
-                                std::to_string(size) +
-                                " bytes exceeds the " +
-                                std::to_string(max_frame) + " byte cap");
-    }
-    std::string payload;
-    if (size == 0)
-        return payload;
-    if (util::Status got = util::net::recv_exact_deadline(
-            socket, size, payload, deadline_ms);
-        !got.ok()) {
-        if (got.kind() == util::ErrorKind::ConnectionClosed) {
-            return util::Status(util::ErrorKind::CorruptData,
-                                "peer closed mid-frame: announced " +
-                                    std::to_string(size) +
-                                    " bytes, sent none");
-        }
-        return got;
-    }
-    return payload;
-}
-
 std::string
 hex_encode(const std::string &bytes)
 {
@@ -194,9 +154,13 @@ render_pong()
     return w.str();
 }
 
-void
-write_stats_fields(util::JsonWriter &w, const StatsSnapshot &stats)
+std::string
+render_stats(const StatsSnapshot &stats)
 {
+    util::JsonWriter w;
+    w.begin_object();
+    w.key("status").value("ok");
+    w.key("type").value("stats");
     w.key("requests_served").value(stats.requests_served);
     w.key("dedup_hits").value(stats.dedup_hits);
     w.key("response_lru_hits").value(stats.response_lru_hits);
@@ -211,22 +175,16 @@ write_stats_fields(util::JsonWriter &w, const StatsSnapshot &stats)
     w.key("protocol_errors").value(stats.protocol_errors);
     w.key("sessions_accepted").value(stats.sessions_accepted);
     w.key("open_connections").value(stats.open_connections);
+    w.key("loop_connections").begin_array();
+    for (const std::uint64_t connections : stats.loop_connections)
+        w.value(connections);
+    w.end_array();
     w.key("queue_depth").value(stats.queue_depth);
     w.key("running").value(stats.running);
     w.key("locks_broken").value(stats.locks_broken);
     w.key("latency_p50_ms").value(stats.latency_p50_ms);
     w.key("latency_p99_ms").value(stats.latency_p99_ms);
     w.key("uptime_seconds").value(stats.uptime_seconds);
-}
-
-std::string
-render_stats(const StatsSnapshot &stats)
-{
-    util::JsonWriter w;
-    w.begin_object();
-    w.key("status").value("ok");
-    w.key("type").value("stats");
-    write_stats_fields(w, stats);
     w.end_object();
     return w.str();
 }
@@ -238,8 +196,6 @@ render_health(const HealthSnapshot &health)
     w.begin_object();
     w.key("status").value("ok");
     w.key("type").value("health");
-    w.key("role").value("shard");
-    w.key("shard").value(static_cast<std::int64_t>(health.shard_index));
     w.key("pid").value(health.pid);
     w.key("draining").value(health.draining);
     w.key("uptime_seconds").value(health.uptime_seconds);

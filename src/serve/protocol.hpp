@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/experiment_request.hpp"
@@ -68,16 +69,6 @@ util::Expected<std::string>
 recv_frame(const util::net::Socket &socket,
            std::size_t max_frame = kDefaultMaxFrameBytes);
 
-/**
- * recv_frame with a wall-clock bound per phase (header, payload):
- * IoError once @p deadline_ms elapse without the bytes arriving.  The
- * supervisor's health probes and control plane use this — neither may
- * ever park forever behind a wedged or malicious peer.
- */
-util::Expected<std::string>
-recv_frame_deadline(const util::net::Socket &socket,
-                    std::size_t max_frame, int deadline_ms);
-
 /** Lower-case hex of @p bytes (the "payload" member encoding). */
 std::string hex_encode(const std::string &bytes);
 
@@ -107,6 +98,8 @@ struct StatsSnapshot
     std::uint64_t protocol_errors = 0;   ///< malformed frames/requests
     std::uint64_t sessions_accepted = 0;
     std::uint64_t open_connections = 0;  ///< instantaneous live connections
+    /** Instantaneous live connections of each event loop. */
+    std::vector<std::uint64_t> loop_connections;
     std::uint64_t queue_depth = 0;       ///< requests admitted, not started
     std::uint64_t running = 0;           ///< suites executing right now
     std::uint64_t locks_broken = 0;      ///< stale cache locks broken (crash hygiene)
@@ -119,21 +112,12 @@ struct StatsSnapshot
 std::string render_stats(const StatsSnapshot &stats);
 
 /**
- * Write the StatsSnapshot members into an already-open JSON object.
- * The supervisor uses this to emit its aggregated /stats with the
- * exact field names and order of a single shard's, plus its own
- * "fleet" block appended.
- */
-void write_stats_fields(util::JsonWriter &w, const StatsSnapshot &stats);
-
-/**
  * What the /health request reports: process identity plus liveness.
- * Cheap by design — the supervisor probes it on a deadline, so the
- * render must never touch the scheduler's queues or block.
+ * Cheap by design — a process manager probes it, so the render must
+ * never touch the scheduler's queues or block.
  */
 struct HealthSnapshot
 {
-    int shard_index = -1;     ///< fleet position; -1 when unsharded
     std::int64_t pid = 0;     ///< the answering process
     bool draining = false;    ///< drain requested; no new work admitted
     double uptime_seconds = 0.0;

@@ -2,7 +2,7 @@
  * @file
  * Implementation of the dedup/backpressure scheduler: admission (LRU
  * lookup, dedup join, deadline shed, queue bound), the worker loop,
- * and completion fan-out to blocking waiters and async callbacks.
+ * and completion fan-out to the waiters' callbacks.
  */
 
 #include "serve/scheduler.hpp"
@@ -75,10 +75,8 @@ Scheduler::lru_insert(std::uint64_t fingerprint,
 }
 
 Scheduler::Admission
-Scheduler::admit(core::ExperimentRequest &&request,
-                 std::unique_lock<std::mutex> &lock)
+Scheduler::admit(core::ExperimentRequest &&request, std::uint64_t fingerprint)
 {
-    (void)lock; // held by contract; admission is one critical section
     Admission admission;
     ++counters_.submitted;
     if (draining_) {
@@ -88,8 +86,6 @@ Scheduler::admit(core::ExperimentRequest &&request,
                          "daemon is draining; request not admitted");
         return admission;
     }
-
-    const std::uint64_t fingerprint = core::fingerprint_request(request);
 
     // Past-fingerprint hit: the rendered bytes of a completed twin are
     // still resident — answer immediately, bypassing the queue, the
@@ -155,34 +151,16 @@ Scheduler::admit(core::ExperimentRequest &&request,
     return admission;
 }
 
-util::Expected<std::shared_ptr<const std::string>>
-Scheduler::submit(core::ExperimentRequest request)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    Admission admission = admit(std::move(request), lock);
-    if (!admission.rejected.ok())
-        return admission.rejected;
-    if (admission.immediate != nullptr)
-        return admission.immediate;
-
-    std::shared_ptr<Job> job = std::move(admission.job);
-    cv_.wait(lock, [&] { return job->done; });
-    // Every waiter lands in exactly one bucket: served when the run
-    // completed, rejected_shutting_down when drain() failed the job.
-    if (job->failed_by_drain)
-        ++counters_.rejected_shutting_down;
-    else
-        ++counters_.served;
-    return job->response;
-}
-
 void
 Scheduler::submit_async(core::ExperimentRequest request, Completion done)
 {
+    // Hashing the request is the costliest part of admission; every
+    // event loop admits here, so it stays outside the lock.
+    const std::uint64_t fingerprint = core::fingerprint_request(request);
     std::shared_ptr<const std::string> immediate;
     {
-        std::unique_lock<std::mutex> lock(mutex_);
-        Admission admission = admit(std::move(request), lock);
+        std::lock_guard<std::mutex> lock(mutex_);
+        Admission admission = admit(std::move(request), fingerprint);
         if (admission.job != nullptr) {
             admission.job->callbacks.push_back(std::move(done));
             return;
@@ -201,20 +179,17 @@ void
 Scheduler::finish_job(const std::shared_ptr<Job> &job, Rendered rendered,
                       std::unique_lock<std::mutex> &lock)
 {
-    job->response = std::move(rendered.response);
-    job->done = true;
     --counters_.running;
     inflight_.erase(job->fingerprint);
     if (rendered.cacheable)
-        lru_insert(job->fingerprint, job->response);
+        lru_insert(job->fingerprint, rendered.response);
     std::vector<Completion> callbacks;
     callbacks.swap(job->callbacks);
     counters_.served += callbacks.size();
-    cv_.notify_all();
 
     lock.unlock();
     for (Completion &callback : callbacks)
-        callback(job->response);
+        callback(rendered.response);
     lock.lock();
 }
 
@@ -231,7 +206,6 @@ Scheduler::worker_loop()
         }
         std::shared_ptr<Job> job = std::move(queue_.front());
         queue_.pop_front();
-        job->started = true;
         --counters_.queue_depth;
         ++counters_.running;
         ++counters_.simulations;
@@ -286,9 +260,9 @@ Scheduler::execute(const core::ExperimentRequest &request,
             std::lock_guard<std::mutex> lock(mutex_);
             counters_.cache_hits += loaded;
             counters_.sim_runs += simulated;
-            // Crash hygiene: a shard that SIGKILLed mid-store leaves a
+            // Crash hygiene: a process SIGKILLed mid-store leaves a
             // stale .lock behind; the breaker count surfacing here is
-            // how an operator sees the fleet healing itself.
+            // how an operator sees the cache healing itself.
             counters_.locks_broken += outcome.cache.lock_breaks;
         }
         // Only flawless outcomes are worth pinning in the LRU: a
@@ -320,19 +294,15 @@ Scheduler::drain()
         std::lock_guard<std::mutex> lock(mutex_);
         draining_ = true;
         workers.swap(workers_); // a concurrent drain() joins nothing
-        // Queued-not-started jobs never run: their waiters all wake
-        // with one shared ShuttingDown response.  Blocking waiters
-        // count themselves on wake; async callbacks are counted (and
-        // collected to fire) here.
+        // Queued-not-started jobs never run: their waiters all get one
+        // shared ShuttingDown response, counted (and collected to
+        // fire) here.
         if (!queue_.empty()) {
             rejected = std::make_shared<const std::string>(
                 render_error(util::Status(
                     util::ErrorKind::ShuttingDown,
                     "daemon drained before this request started")));
             for (const std::shared_ptr<Job> &job : queue_) {
-                job->response = rejected;
-                job->failed_by_drain = true;
-                job->done = true;
                 inflight_.erase(job->fingerprint);
                 counters_.rejected_shutting_down +=
                     job->callbacks.size();

@@ -41,12 +41,12 @@
  *    SIGTERM, because the scheduler stamps
  *    ExperimentConfig::ignore_interrupts on every job it starts.
  *
- * Two submission APIs share all of the above: blocking submit() (tests,
- * simple callers) parks the calling thread; submit_async() (the event
- * loop) never blocks — the completion callback is invoked either
- * synchronously (LRU hit, rejection) on the submitting thread or later
- * on a scheduler worker thread, always with fully rendered response
- * bytes.
+ * One submission path, submit_async(), never blocks: the completion
+ * callback is invoked either synchronously (LRU hit, rejection) on the
+ * submitting thread or later on a scheduler worker thread, always with
+ * fully rendered response bytes.  Every event loop of the daemon
+ * submits to the one scheduler, so the fingerprint is computed before
+ * the admission lock is taken.
  */
 
 #ifndef LEAKBOUND_SERVE_SCHEDULER_HPP
@@ -139,18 +139,9 @@ class Scheduler
     Scheduler &operator=(const Scheduler &) = delete;
 
     /**
-     * Admit @p request and block until its response is rendered.
-     * Returns the shared response string (identical object for every
-     * member of a dedup group), or Overloaded / ShuttingDown when the
-     * request was never admitted.
-     */
-    util::Expected<std::shared_ptr<const std::string>>
-    submit(core::ExperimentRequest request);
-
-    /**
      * Admit @p request without blocking; @p done receives the rendered
-     * response bytes exactly once (rejections arrive as rendered error
-     * frames).  The event loop's submission path.
+     * response bytes exactly once (the same object for every member of
+     * a dedup group; rejections arrive as rendered error frames).
      */
     void submit_async(core::ExperimentRequest request, Completion done);
 
@@ -168,14 +159,9 @@ class Scheduler
     {
         core::ExperimentRequest request;
         std::uint64_t fingerprint = 0;
-        bool started = false;
-        bool done = false;
-        /** True when drain() failed the job before it ran; its
-         *  waiters are counted as rejected_shutting_down, not served. */
-        bool failed_by_drain = false;
-        /** Set exactly once, before done; shared by all waiters. */
-        std::shared_ptr<const std::string> response;
-        /** Async waiters, fired exactly once when the job completes. */
+        /** Waiters, fired exactly once, all with the same response
+         *  object, when the job completes or is drained before it
+         *  starts. */
         std::vector<Completion> callbacks;
     };
 
@@ -193,12 +179,14 @@ class Scheduler
         std::shared_ptr<const std::string> immediate;
         /** Set for rejections (Overloaded / ShuttingDown). */
         util::Status rejected;
-        /** Set when admitted: the job to wait on / register with. */
+        /** Set when admitted: the job to register with. */
         std::shared_ptr<Job> job;
     };
 
+    /** One admission decision; call with mutex_ held.  @p fingerprint
+     *  (core::fingerprint_request) keys dedup and the LRU. */
     Admission admit(core::ExperimentRequest &&request,
-                    std::unique_lock<std::mutex> &lock);
+                    std::uint64_t fingerprint);
     void worker_loop();
     Rendered execute(const core::ExperimentRequest &request,
                      std::uint64_t fingerprint);

@@ -1,13 +1,15 @@
 /**
  * @file
- * Implementation of the leakboundd server: the epoll event loop,
- * per-connection frame state machines, scheduler handoff, and drain.
+ * Implementation of the leakboundd server: the epoll event loops,
+ * connection dealing, per-connection frame state machines, scheduler
+ * handoff, and drain.
  */
 
 #include "serve/server.hpp"
 
 #include <algorithm>
 #include <cstdio>
+#include <thread>
 
 #include <unistd.h>
 
@@ -41,13 +43,17 @@ append_frame_header(std::string &out, std::size_t size)
 Server::Server(ServerConfig config) : config_(std::move(config))
 {
     scheduler_ = std::make_unique<Scheduler>(config_.scheduler);
+    const unsigned loops = std::max(config_.scheduler.workers, 1u);
+    for (unsigned i = 0; i < loops; ++i)
+        loops_.push_back(std::make_unique<Loop>());
     started_at_ = std::chrono::steady_clock::now();
 }
 
 Server::~Server()
 {
     // serve() normally runs the full drain; this covers start()-only
-    // lifetimes (tests that never serve).
+    // lifetimes (tests that never serve).  The scheduler drains before
+    // the loops its callbacks point into are destroyed.
     scheduler_->drain();
     if (!config_.unix_path.empty())
         std::remove(config_.unix_path.c_str());
@@ -61,12 +67,14 @@ Server::start()
                             "no listener configured: need a socket "
                             "path or a TCP port");
     }
-    if (!epoll_.valid())
-        return util::Status(util::ErrorKind::IoError,
-                            "cannot create the epoll instance");
-    if (!wakeup_.valid())
-        return util::Status(util::ErrorKind::IoError,
-                            "cannot create the wakeup eventfd");
+    for (const std::unique_ptr<Loop> &loop : loops_) {
+        if (!loop->epoll.valid())
+            return util::Status(util::ErrorKind::IoError,
+                                "cannot create an epoll instance");
+        if (!loop->wakeup.valid())
+            return util::Status(util::ErrorKind::IoError,
+                                "cannot create a wakeup eventfd");
+    }
     if (!config_.unix_path.empty()) {
         auto listener = util::net::listen_unix(config_.unix_path);
         if (!listener)
@@ -93,6 +101,28 @@ Server::start()
     return util::Status();
 }
 
+void
+Server::request_drain()
+{
+    drain_requested_.store(true);
+    for (const std::unique_ptr<Loop> &loop : loops_)
+        loop->wakeup.signal();
+}
+
+void
+Server::on_every_loop(const std::function<void(Loop &)> &body)
+{
+    std::vector<std::thread> threads;
+    threads.reserve(loops_.size() - 1);
+    for (std::size_t i = 1; i < loops_.size(); ++i)
+        threads.emplace_back([&body, loop = loops_[i].get()] {
+            body(*loop);
+        });
+    body(*loops_.front());
+    for (std::thread &thread : threads)
+        thread.join();
+}
+
 util::Status
 Server::serve()
 {
@@ -101,53 +131,88 @@ Server::serve()
                             "serve() before start()");
     }
 
-    if (unix_listener_.valid()) {
-        if (util::Status added = epoll_.add(unix_listener_.fd(), kUnixTag,
-                                            true, false);
-            !added.ok())
-            return added;
-    }
-    if (tcp_listener_.valid()) {
-        if (util::Status added = epoll_.add(tcp_listener_.fd(), kTcpTag,
-                                            true, false);
-            !added.ok())
-            return added;
-    }
-    // Level-triggered on purpose: a signal() arriving between consume()
-    // and the next wait must re-report, and the loop always consumes.
-    if (util::Status added = epoll_.add(wakeup_.fd(), kWakeupTag, true,
-                                        false, /*edge_triggered=*/false);
-        !added.ok())
-        return added;
-
-    // Birth heartbeat: the supervisor's liveness clock starts from the
-    // moment the loop is actually turning, not from fork().
-    next_heartbeat_at_ = std::chrono::steady_clock::now();
-    emit_heartbeat();
-
-    while (!drain_requested_.load() && !util::interrupt_requested()) {
-        emit_heartbeat();
-        auto waited = epoll_.wait(events_, config_.poll_interval_ms);
-        if (!waited) {
-            return util::Status(util::ErrorKind::IoError,
-                                "epoll_wait on the event loop failed: " +
-                                    waited.status().message());
+    for (const std::unique_ptr<Loop> &loop : loops_) {
+        // Every loop polls the listeners; whichever wakes accepts.
+        if (unix_listener_.valid()) {
+            if (util::Status added = loop->epoll.add(unix_listener_.fd(),
+                                                     kUnixTag, true, false);
+                !added.ok())
+                return added;
         }
-        for (const util::net::EpollEvent &event : events_) {
+        if (tcp_listener_.valid()) {
+            if (util::Status added = loop->epoll.add(tcp_listener_.fd(),
+                                                     kTcpTag, true, false);
+                !added.ok())
+                return added;
+        }
+        // Level-triggered on purpose: a signal() arriving between
+        // consume() and the next wait must re-report, and the loop
+        // always consumes.
+        if (util::Status added =
+                loop->epoll.add(loop->wakeup.fd(), kWakeupTag, true,
+                                false, /*edge_triggered=*/false);
+            !added.ok())
+            return added;
+    }
+
+    util::Status verdict;
+    std::mutex verdict_mutex;
+    on_every_loop([&](Loop &loop) {
+        util::Status ran = run_loop(loop);
+        std::lock_guard<std::mutex> lock(verdict_mutex);
+        if (verdict.ok())
+            verdict = std::move(ran);
+    });
+
+    // Drain, once every loop has stopped: no new connections;
+    // in-flight experiments finish and their completions land in the
+    // owner loops' inboxes; queued experiments fail typed; then every
+    // loop gets the same bounded chance to flush its answered
+    // connections.
+    unix_listener_.close();
+    tcp_listener_.close();
+    scheduler_->drain();
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(config_.drain_flush_ms);
+    on_every_loop([&](Loop &loop) {
+        drain_inbox(loop);
+        drain_flush(loop, deadline);
+        loop.connections.clear();
+        loop.live.store(0);
+    });
+    live_connections_.store(0);
+    if (!config_.unix_path.empty())
+        std::remove(config_.unix_path.c_str());
+    return verdict;
+}
+
+util::Status
+Server::run_loop(Loop &loop)
+{
+    util::Status verdict;
+    while (!drain_requested_.load() && !util::interrupt_requested()) {
+        auto waited = loop.epoll.wait(loop.events, config_.poll_interval_ms);
+        if (!waited) {
+            verdict = util::Status(util::ErrorKind::IoError,
+                                   "epoll_wait on an event loop failed: " +
+                                       waited.status().message());
+            break;
+        }
+        for (const util::net::EpollEvent &event : loop.events) {
             if (event.tag == kUnixTag) {
-                accept_pending(unix_listener_);
+                accept_pending(loop, unix_listener_);
                 continue;
             }
             if (event.tag == kTcpTag) {
-                accept_pending(tcp_listener_);
+                accept_pending(loop, tcp_listener_);
                 continue;
             }
             if (event.tag == kWakeupTag) {
-                wakeup_.consume();
+                loop.wakeup.consume();
                 continue;
             }
-            auto it = connections_.find(event.tag);
-            if (it == connections_.end())
+            auto it = loop.connections.find(event.tag);
+            if (it == loop.connections.end())
                 continue; // destroyed earlier this batch
             Connection *connection = it->second.get();
             if (event.error) {
@@ -157,33 +222,23 @@ Server::serve()
             if (event.writable)
                 flush_writes(connection);
             // Re-find: flush_writes may have destroyed it.
-            if (connections_.find(event.tag) == connections_.end())
+            if (loop.connections.find(event.tag) == loop.connections.end())
                 continue;
             if (event.readable || event.hangup)
                 handle_readable(connection);
         }
-        // Completions may have been queued by workers during the wait
-        // or synchronously by dispatch (LRU hits, rejections).
-        drain_completions();
+        // Connections dealt here and completions may have been queued
+        // by other threads during the wait, or synchronously by
+        // dispatch (LRU hits, rejections).
+        drain_inbox(loop);
     }
-
-    // Drain: no new connections; in-flight experiments finish and
-    // their waiters are answered; queued experiments fail typed; then
-    // every answered connection gets a bounded chance to be flushed.
-    unix_listener_.close();
-    tcp_listener_.close();
-    scheduler_->drain();
-    drain_completions();
-    drain_flush();
-    connections_.clear();
-    live_connections_.store(0);
-    if (!config_.unix_path.empty())
-        std::remove(config_.unix_path.c_str());
-    return util::Status();
+    // Whatever stopped this loop (drain, signal, failure) stops them all.
+    request_drain();
+    return verdict;
 }
 
 void
-Server::accept_pending(const util::net::Socket &listener)
+Server::accept_pending(Loop &loop, const util::net::Socket &listener)
 {
     if (!listener.valid())
         return;
@@ -199,53 +254,81 @@ Server::accept_pending(const util::net::Socket &listener)
         }
         if (!accepted.value().valid())
             return; // nothing more pending
-        util::net::Socket socket = accepted.take();
-        if (util::Status made = util::net::set_nonblocking(socket);
+        Arrival arrival;
+        arrival.socket = accepted.take();
+        if (util::Status made = util::net::set_nonblocking(arrival.socket);
             !made.ok()) {
             util::warn("cannot make a connection non-blocking: ",
                        made.to_string());
             continue;
         }
 
-        const bool overloaded =
-            live_connections_.load() >= config_.max_sessions;
+        // Admission is one compare-and-swap on the process-wide count,
+        // so max_sessions is exact however many loops accept at once.
+        std::uint64_t live = live_connections_.load();
+        arrival.shed = true;
+        while (live < config_.max_sessions) {
+            if (live_connections_.compare_exchange_weak(live, live + 1)) {
+                arrival.shed = false;
+                break;
+            }
+        }
         {
             std::lock_guard<std::mutex> lock(mutex_);
             ++sessions_accepted_;
-            if (overloaded)
+            if (arrival.shed)
                 ++sessions_rejected_;
         }
 
-        auto connection = std::make_unique<Connection>();
-        connection->socket = std::move(socket);
-        connection->id = next_connection_id_++;
-        Connection *raw = connection.get();
-        if (util::Status added =
-                epoll_.add(raw->socket.fd(), raw->id, true, false);
-            !added.ok()) {
-            util::warn("cannot register a connection: ",
-                       added.to_string());
-            continue; // unique_ptr closes the socket
+        // Deal connections to the loops in turn, so they spread evenly
+        // whichever loop the kernel woke to accept them.
+        Loop &owner = *loops_[dealt_.fetch_add(1) % loops_.size()];
+        if (&owner == &loop) {
+            adopt(loop, std::move(arrival));
+            continue;
         }
-        connections_.emplace(raw->id, std::move(connection));
+        {
+            std::lock_guard<std::mutex> lock(owner.inbox_mutex);
+            owner.arrivals.push_back(std::move(arrival));
+        }
+        owner.wakeup.signal();
+    }
+}
 
-        if (overloaded) {
-            // Shed explicitly: one error frame, then close.  The frame
-            // goes through the ordinary queued-write path, so a slow
-            // shed peer cannot stall the loop — its partial write just
-            // waits for EPOLLOUT like anyone else's.
-            raw->shed = true;
-            raw->close_after_flush = true;
-            enqueue_ready(raw,
-                          render_error(util::Status(
-                              util::ErrorKind::Overloaded,
-                              "connection limit reached (" +
-                                  std::to_string(config_.max_sessions) +
-                                  "); retry later")));
-            flush_writes(raw);
-        } else {
-            live_connections_.fetch_add(1);
-        }
+void
+Server::adopt(Loop &loop, Arrival arrival)
+{
+    auto connection = std::make_unique<Connection>();
+    connection->socket = std::move(arrival.socket);
+    connection->loop = &loop;
+    connection->id = loop.next_connection_id++;
+    connection->shed = arrival.shed;
+    Connection *raw = connection.get();
+    if (util::Status added =
+            loop.epoll.add(raw->socket.fd(), raw->id, true, false);
+        !added.ok()) {
+        util::warn("cannot register a connection: ", added.to_string());
+        if (!raw->shed)
+            live_connections_.fetch_sub(1);
+        return; // unique_ptr closes the socket
+    }
+    loop.connections.emplace(raw->id, std::move(connection));
+
+    if (raw->shed) {
+        // Shed explicitly: one error frame, then close.  The frame
+        // goes through the ordinary queued-write path, so a slow shed
+        // peer cannot stall the loop — its partial write just waits
+        // for EPOLLOUT like anyone else's.
+        raw->close_after_flush = true;
+        enqueue_ready(raw,
+                      render_error(util::Status(
+                          util::ErrorKind::Overloaded,
+                          "connection limit reached (" +
+                              std::to_string(config_.max_sessions) +
+                              "); retry later")));
+        flush_writes(raw);
+    } else {
+        loop.live.fetch_add(1);
     }
 }
 
@@ -273,11 +356,12 @@ Server::handle_readable(Connection *connection)
         break; // would_block: drained
     }
 
+    // parse_frames may destroy the connection (protocol desync with
+    // nothing flushable); re-find it by id before touching it again.
+    Loop &loop = *connection->loop;
+    const std::uint64_t id = connection->id;
     parse_frames(connection);
-    // parse_frames may have destroyed the connection (protocol desync
-    // with nothing flushable); re-find before touching it again.
-    auto it = connections_.find(connection->id);
-    if (it == connections_.end())
+    if (loop.connections.find(id) == loop.connections.end())
         return;
 
     if (connection->peer_closed) {
@@ -297,6 +381,8 @@ Server::handle_readable(Connection *connection)
 void
 Server::parse_frames(Connection *connection)
 {
+    Loop &loop = *connection->loop;
+    const std::uint64_t id = connection->id;
     for (;;) {
         const std::size_t avail =
             connection->inbuf.size() - connection->inoff;
@@ -331,7 +417,7 @@ Server::parse_frames(Connection *connection)
             connection->inoff + kFrameHeaderBytes, size);
         connection->inoff += kFrameHeaderBytes + size;
         dispatch(connection, payload);
-        if (connections_.find(connection->id) == connections_.end())
+        if (loop.connections.find(id) == loop.connections.end())
             return; // dispatch path destroyed the connection
         if (connection->close_after_flush)
             break; // stop consuming a desynced stream
@@ -405,13 +491,14 @@ Server::dispatch(Connection *connection, const std::string &payload)
         reply.timed = true;
         reply.begun = std::chrono::steady_clock::now();
         connection->replies.push_back(std::move(reply));
+        Loop *owner = connection->loop;
         const std::uint64_t connection_id = connection->id;
         const std::uint64_t seq = connection->replies.back().seq;
         scheduler_->submit_async(
             decoded.take(),
-            [this, connection_id,
+            [this, owner, connection_id,
              seq](std::shared_ptr<const std::string> response) {
-                queue_completion(connection_id, seq,
+                queue_completion(*owner, connection_id, seq,
                                  std::move(response));
             });
         return;
@@ -503,9 +590,9 @@ Server::flush_writes(Connection *connection)
 void
 Server::update_write_interest(Connection *connection)
 {
-    if (util::Status changed =
-            epoll_.modify(connection->socket.fd(), connection->id, true,
-                          connection->want_write);
+    if (util::Status changed = connection->loop->epoll.modify(
+            connection->socket.fd(), connection->id, true,
+            connection->want_write);
         !changed.ok())
         util::warn("cannot re-arm a connection: ", changed.to_string());
 }
@@ -513,36 +600,43 @@ Server::update_write_interest(Connection *connection)
 void
 Server::destroy(Connection *connection)
 {
-    if (!connection->shed)
+    Loop &loop = *connection->loop;
+    if (!connection->shed) {
         live_connections_.fetch_sub(1);
+        loop.live.fetch_sub(1);
+    }
     // Closing the fd deregisters it from epoll; completions still in
     // flight die against the connection map by id.
-    connections_.erase(connection->id);
+    loop.connections.erase(connection->id);
 }
 
 void
-Server::queue_completion(std::uint64_t connection_id, std::uint64_t seq,
+Server::queue_completion(Loop &loop, std::uint64_t connection_id,
+                         std::uint64_t seq,
                          std::shared_ptr<const std::string> response)
 {
     {
-        std::lock_guard<std::mutex> lock(completions_mutex_);
-        completions_.push_back(
+        std::lock_guard<std::mutex> lock(loop.inbox_mutex);
+        loop.completions.push_back(
             PendingCompletion{connection_id, seq, std::move(response)});
     }
-    wakeup_.signal();
+    loop.wakeup.signal();
 }
 
 void
-Server::drain_completions()
+Server::drain_inbox(Loop &loop)
 {
-    std::deque<PendingCompletion> batch;
+    std::vector<Arrival> arrivals;
     {
-        std::lock_guard<std::mutex> lock(completions_mutex_);
-        batch.swap(completions_);
+        std::lock_guard<std::mutex> lock(loop.inbox_mutex);
+        arrivals.swap(loop.arrivals);
+        loop.batch.swap(loop.completions);
     }
-    for (PendingCompletion &completion : batch) {
-        auto it = connections_.find(completion.connection_id);
-        if (it == connections_.end())
+    for (Arrival &arrival : arrivals)
+        adopt(loop, std::move(arrival));
+    for (PendingCompletion &completion : loop.batch) {
+        auto it = loop.connections.find(completion.connection_id);
+        if (it == loop.connections.end())
             continue; // the client vanished; the response is moot
         Connection *connection = it->second.get();
         for (Reply &reply : connection->replies) {
@@ -554,25 +648,25 @@ Server::drain_completions()
         }
         flush_writes(connection);
     }
+    loop.batch.clear();
 }
 
 void
-Server::drain_flush()
+Server::drain_flush(Loop &loop,
+                    std::chrono::steady_clock::time_point deadline)
 {
     // Bounded grace: flush what the peers will take, then cut.  Any
     // connection with nothing pending is closed immediately.
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(config_.drain_flush_ms);
     for (;;) {
-        for (auto it = connections_.begin(); it != connections_.end();) {
+        for (auto it = loop.connections.begin();
+             it != loop.connections.end();) {
             Connection *connection = it->second.get();
             ++it; // destroy() erases; advance first
             if (connection->replies.empty() &&
                 connection->outoff >= connection->outbuf.size())
                 destroy(connection);
         }
-        if (connections_.empty())
+        if (loop.connections.empty())
             return;
         const auto now = std::chrono::steady_clock::now();
         if (now >= deadline)
@@ -581,13 +675,16 @@ Server::drain_flush()
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 deadline - now)
                 .count());
-        auto waited =
-            epoll_.wait(events_, std::min(timeout_ms, 50));
+        auto waited = loop.epoll.wait(loop.events, std::min(timeout_ms, 50));
         if (!waited)
             return;
-        for (const util::net::EpollEvent &event : events_) {
-            auto found = connections_.find(event.tag);
-            if (found == connections_.end())
+        for (const util::net::EpollEvent &event : loop.events) {
+            if (event.tag == kWakeupTag) {
+                loop.wakeup.consume(); // else it re-reports every wait
+                continue;
+            }
+            auto found = loop.connections.find(event.tag);
+            if (found == loop.connections.end())
                 continue;
             if (event.error) {
                 destroy(found->second.get());
@@ -626,6 +723,8 @@ Server::stats() const
     snapshot.running = counters.running;
     snapshot.locks_broken = counters.locks_broken;
     snapshot.open_connections = live_connections_.load();
+    for (const std::unique_ptr<Loop> &loop : loops_)
+        snapshot.loop_connections.push_back(loop->live.load());
     snapshot.uptime_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       started_at_)
@@ -643,7 +742,6 @@ HealthSnapshot
 Server::health() const
 {
     HealthSnapshot snapshot;
-    snapshot.shard_index = config_.shard_index;
     snapshot.pid = static_cast<std::int64_t>(::getpid());
     snapshot.draining = drain_requested_.load();
     snapshot.uptime_seconds =
@@ -651,25 +749,6 @@ Server::health() const
                                       started_at_)
             .count();
     return snapshot;
-}
-
-void
-Server::emit_heartbeat()
-{
-    if (config_.heartbeat_fd < 0)
-        return;
-    const auto now = std::chrono::steady_clock::now();
-    if (now < next_heartbeat_at_)
-        return;
-    next_heartbeat_at_ =
-        now + std::chrono::milliseconds(
-                  std::max(config_.heartbeat_interval_ms, 1));
-    // Non-blocking by construction (the supervisor opens the pipe
-    // O_NONBLOCK): a full pipe means the supervisor is behind on
-    // draining, and dropping a pulse is exactly right — liveness is
-    // recency, not a count.
-    const char pulse = 'h';
-    (void)!::write(config_.heartbeat_fd, &pulse, 1);
 }
 
 } // namespace leakbound::serve

@@ -1,24 +1,29 @@
 /**
  * @file
- * The leakboundd server: an edge-triggered epoll event loop over
+ * The leakboundd server: edge-triggered epoll event loops over
  * non-blocking sockets, connection state machines, stats, drain.
  *
- * Threading/ownership model (DESIGN.md §6): the thread that calls
- * serve() runs the event loop and is the ONLY thread that ever touches
- * a connection — sockets, buffers, reply queues all live and die on
- * the loop.  Compute lives in the Scheduler's fixed worker pool; the
+ * Threading/ownership model (DESIGN.md §6): serve() runs one event
+ * loop per scheduler worker (one on the calling thread, the rest on
+ * threads of their own).  Every loop polls the same listeners; the
+ * loop that wakes accepts and deals each connection to the loops in
+ * turn, and from then on the connection's owner loop is the ONLY
+ * thread that ever touches it — socket, buffers, reply queue all live
+ * and die there.  Compute lives in the one Scheduler every loop
+ * shares, so dedup and the response LRU cover the whole process: a
  * loop hands a decoded run request to Scheduler::submit_async and
  * moves on, so 10k idle-or-slow clients cost zero threads and zero
- * per-connection wakeups.  Workers deliver rendered response bytes
- * into a mutex-guarded completion queue and kick an eventfd; the loop
- * drains the queue, matches completions to their connection by
+ * per-connection wakeups.  A worker delivers rendered response bytes
+ * into the owner loop's mutex-guarded completion queue and kicks its
+ * eventfd; the loop matches completions to their connection by
  * (connection id, reply sequence) — both survive the connection's
  * death, so a completion for a vanished client is dropped, never a
  * use-after-free — and resumes partial writes under EPOLLOUT.  On
- * SIGINT/SIGTERM or request_drain() the loop stops accepting, drains
- * the scheduler (in-flight experiments finish, queued ones fail with
- * ShuttingDown), flushes every answered connection within a bounded
- * grace period, and closes everything before serve() returns.
+ * SIGINT/SIGTERM or request_drain() every loop stops, the listeners
+ * close, the scheduler drains once (in-flight experiments finish,
+ * queued ones fail with ShuttingDown), and each loop flushes its
+ * answered connections within one shared grace deadline before
+ * serve() returns.
  */
 
 #ifndef LEAKBOUND_SERVE_SERVER_HPP
@@ -28,6 +33,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -61,20 +67,7 @@ struct ServerConfig
     int poll_interval_ms = 100;
     /** Grace period for flushing answered connections on drain. */
     int drain_flush_ms = 2'000;
-    /**
-     * Fleet position reported by /health (-1 = standalone daemon).
-     * The supervisor stamps this when forking shards.
-     */
-    int shard_index = -1;
-    /**
-     * Write end of the supervisor's heartbeat pipe (-1 = none).  The
-     * event loop writes one byte per interval from its own thread, so
-     * a heartbeat proves the loop itself is turning, not merely that
-     * the process exists.  Not owned: the supervisor child closes it
-     * via process exit.
-     */
-    int heartbeat_fd = -1;
-    int heartbeat_interval_ms = 250;
+    /** Its workers count is also the number of event loops. */
     SchedulerConfig scheduler;
 };
 
@@ -95,18 +88,14 @@ class Server
     std::uint16_t tcp_port() const { return tcp_port_; }
 
     /**
-     * Run the event loop on the calling thread until an interrupt or
-     * request_drain(), then drain and flush everything.  Returns ok on
-     * a clean drain.
+     * Run the event loops (one on the calling thread) until an
+     * interrupt or request_drain(), then drain and flush everything.
+     * Returns ok on a clean drain.
      */
     util::Status serve();
 
     /** Ask serve() to drain and return (thread-safe, idempotent). */
-    void request_drain()
-    {
-        drain_requested_.store(true);
-        wakeup_.signal();
-    }
+    void request_drain();
 
     /** Assemble the /stats view (also what sessions reply with). */
     StatsSnapshot stats() const;
@@ -115,6 +104,8 @@ class Server
     HealthSnapshot health() const;
 
   private:
+    struct Loop;
+
     /** One queued response frame, in request order. */
     struct Reply
     {
@@ -127,13 +118,14 @@ class Server
     };
 
     /**
-     * One client connection's entire state machine, owned by the
-     * event loop: accumulate bytes → peel frames → dispatch → queue
-     * replies in request order → write with partial-write resumption.
+     * One client connection's entire state machine, owned by one
+     * loop: accumulate bytes → peel frames → dispatch → queue replies
+     * in request order → write with partial-write resumption.
      */
     struct Connection
     {
         util::net::Socket socket;
+        Loop *loop = nullptr; ///< the owner; never changes
         std::uint64_t id = 0;
         /** Unparsed inbound bytes ([inoff, size) is live). */
         std::string inbuf;
@@ -150,7 +142,7 @@ class Server
         bool shed = false;            ///< overload-rejected; not live
     };
 
-    /** A worker's finished response en route to the loop. */
+    /** A worker's finished response en route to the owner loop. */
     struct PendingCompletion
     {
         std::uint64_t connection_id = 0;
@@ -158,7 +150,44 @@ class Server
         std::shared_ptr<const std::string> response;
     };
 
-    void accept_pending(const util::net::Socket &listener);
+    /** An accepted socket dealt to a loop, with its admission verdict. */
+    struct Arrival
+    {
+        util::net::Socket socket;
+        bool shed = false;
+    };
+
+    /**
+     * One event loop: its epoll set, the connections it owns, and the
+     * inbox other threads post to (worker completions and connections
+     * dealt to it), announced through its eventfd.
+     */
+    struct Loop
+    {
+        util::net::Epoll epoll;
+        std::unordered_map<std::uint64_t, std::unique_ptr<Connection>>
+            connections;
+        std::uint64_t next_connection_id = 100; ///< ids < 100 are tags
+        std::vector<util::net::EpollEvent> events;
+        /** Live (non-shed) connections owned; atomic so stats() reads. */
+        std::atomic<std::uint64_t> live{0};
+
+        util::net::WakeupFd wakeup;
+        std::mutex inbox_mutex; ///< guards the two queues below
+        std::vector<PendingCompletion> completions;
+        std::vector<Arrival> arrivals;
+        /** Completions being delivered; swapped with `completions`. */
+        std::vector<PendingCompletion> batch;
+    };
+
+    /** Run @p body on every loop at once (loop 0 on this thread). */
+    void on_every_loop(const std::function<void(Loop &)> &body);
+    /** One loop's serving phase: poll until a drain is requested. */
+    util::Status run_loop(Loop &loop);
+    /** Accept until EAGAIN, dealing each connection to its owner. */
+    void accept_pending(Loop &loop, const util::net::Socket &listener);
+    /** Register a dealt connection with @p loop (its owner). */
+    void adopt(Loop &loop, Arrival arrival);
     void handle_readable(Connection *connection);
     /** Peel complete frames off inbuf and dispatch each. */
     void parse_frames(Connection *connection);
@@ -171,15 +200,16 @@ class Server
     void flush_writes(Connection *connection);
     void update_write_interest(Connection *connection);
     void destroy(Connection *connection);
-    void drain_completions();
+    /** Adopt dealt connections and deliver completions to @p loop's. */
+    void drain_inbox(Loop &loop);
     /** Thread-safe: workers (or the loop) post a finished response. */
-    void queue_completion(std::uint64_t connection_id, std::uint64_t seq,
+    void queue_completion(Loop &loop, std::uint64_t connection_id,
+                          std::uint64_t seq,
                           std::shared_ptr<const std::string> response);
     void note_protocol_error();
-    /** Flush answered connections after drain, bounded by grace. */
-    void drain_flush();
-    /** Pulse the supervisor's heartbeat pipe when due (no-op unpiped). */
-    void emit_heartbeat();
+    /** Flush @p loop's answered connections after drain, until @p deadline. */
+    void drain_flush(Loop &loop,
+                     std::chrono::steady_clock::time_point deadline);
 
     ServerConfig config_;
     std::unique_ptr<Scheduler> scheduler_;
@@ -189,21 +219,12 @@ class Server
     bool started_ = false;
     std::atomic<bool> drain_requested_{false};
     std::chrono::steady_clock::time_point started_at_;
-    std::chrono::steady_clock::time_point next_heartbeat_at_;
 
-    // ---- event loop state: touched only by the serve() thread ----
-    util::net::Epoll epoll_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<Connection>>
-        connections_;
-    std::uint64_t next_connection_id_ = 100; ///< ids < 100 are reserved tags
-    /** Live (non-shed) connections; atomic only so stats() may read. */
+    std::vector<std::unique_ptr<Loop>> loops_;
+    /** Accepted connections so far; deals them to loops in turn. */
+    std::atomic<std::uint64_t> dealt_{0};
+    /** Live (non-shed) connections over all loops: max_sessions gate. */
     std::atomic<std::uint64_t> live_connections_{0};
-    std::vector<util::net::EpollEvent> events_;
-
-    // ---- worker → loop handoff ----
-    util::net::WakeupFd wakeup_;
-    std::mutex completions_mutex_;
-    std::deque<PendingCompletion> completions_;
 
     mutable std::mutex mutex_; ///< guards the stats counters below
     std::uint64_t sessions_accepted_ = 0;

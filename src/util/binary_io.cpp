@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -55,15 +54,6 @@ BinaryWriter::put_u64(std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
         out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-BinaryWriter::put_double(double v)
-{
-    static_assert(sizeof(double) == sizeof(std::uint64_t));
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put_u64(bits);
 }
 
 void
@@ -124,15 +114,6 @@ BinaryReader::get_u64()
                  static_cast<unsigned char>(data_[pos_ + i]))
              << (8 * i);
     pos_ += 8;
-    return v;
-}
-
-double
-BinaryReader::get_double()
-{
-    const std::uint64_t bits = get_u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
     return v;
 }
 

@@ -36,9 +36,6 @@ class BinaryWriter
     /** Append a 64-bit value, little-endian. */
     void put_u64(std::uint64_t v);
 
-    /** Append a double via its IEEE-754 bit pattern. */
-    void put_double(double v);
-
     /** Append a length-prefixed (u64) byte string. */
     void put_string(const std::string &s);
 
@@ -82,7 +79,6 @@ class BinaryReader
     std::uint8_t get_u8();
     std::uint32_t get_u32();
     std::uint64_t get_u64();
-    double get_double();
 
     /** Read a length-prefixed byte string (empty on failure). */
     std::string get_string();

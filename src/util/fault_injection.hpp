@@ -21,7 +21,7 @@
  *
  * where `site` is one of open_read, open_write, short_write, enospc,
  * rename_torn, lock, simulate, net_accept, net_read, net_write,
- * net_short_write, kill_shard, directory; `rate` is a fault probability
+ * net_short_write, directory; `rate` is a fault probability
  * in [0, 1]; and the optional `@match` restricts the rule to probes
  * whose tag (usually a path, workload name or multicore mix label)
  * contains the substring.  The seed comes from LEAKBOUND_FAULT_SEED
@@ -56,11 +56,10 @@ enum class Site : std::uint8_t {
     NetRead,    ///< a socket read fails as if the peer vanished
     NetWrite,   ///< a socket write fails mid-frame
     NetShortWrite, ///< a socket write is truncated (partial write)
-    KillShard,  ///< the shard supervisor SIGKILLs a random live shard
     Directory,  ///< a multicore run flips one mirrored L1D tag at finalize
 };
 
-inline constexpr std::size_t kNumFaultSites = 13;
+inline constexpr std::size_t kNumFaultSites = 12;
 
 /** The spec-string name of @p site ("open_read", ...). */
 constexpr const char *
@@ -78,7 +77,6 @@ site_name(Site site)
       case Site::NetRead: return "net_read";
       case Site::NetWrite: return "net_write";
       case Site::NetShortWrite: return "net_short_write";
-      case Site::KillShard: return "kill_shard";
       case Site::Directory: return "directory";
     }
     return "unknown";

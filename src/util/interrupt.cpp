@@ -42,7 +42,7 @@ install_signal_handlers()
     // A peer closing mid-write must surface as EPIPE from the write,
     // never as a process-killing SIGPIPE.  Sends through util::net use
     // MSG_NOSIGNAL already; this covers every other descriptor
-    // (heartbeat pipes, stdio redirected to a dead pager, ...).
+    // (stdio redirected to a dead pager, ...).
     ::signal(SIGPIPE, SIG_IGN);
 }
 

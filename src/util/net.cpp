@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -55,13 +54,6 @@ Socket::close()
         ::close(fd_);
         fd_ = -1;
     }
-}
-
-void
-Socket::shutdown_read()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RD);
 }
 
 Expected<Socket>
@@ -165,39 +157,6 @@ local_port(const Socket &socket)
                       &len) != 0)
         return 0;
     return ntohs(addr.sin_port);
-}
-
-int
-wait_readable(const Socket &socket, int timeout_ms)
-{
-    pollfd pfd{};
-    pfd.fd = socket.fd();
-    pfd.events = POLLIN;
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0)
-        return errno == EINTR ? 0 : -1;
-    return rc > 0 ? 1 : 0;
-}
-
-int
-wait_any_readable(const std::vector<const Socket *> &sockets,
-                  int timeout_ms)
-{
-    std::vector<pollfd> pfds;
-    pfds.reserve(sockets.size());
-    for (const Socket *socket : sockets)
-        pfds.push_back(pollfd{socket->fd(), POLLIN, 0});
-    const int rc =
-        ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
-    if (rc < 0)
-        return errno == EINTR ? -1 : -2;
-    if (rc == 0)
-        return -1;
-    for (std::size_t i = 0; i < pfds.size(); ++i) {
-        if (pfds[i].revents != 0)
-            return static_cast<int>(i);
-    }
-    return -1;
 }
 
 Expected<Socket>
@@ -382,65 +341,6 @@ recv_exact(const Socket &socket, std::size_t size, std::string &out)
     return Status();
 }
 
-Status
-recv_exact_deadline(const Socket &socket, std::size_t size,
-                    std::string &out, int deadline_ms)
-{
-    using Clock = std::chrono::steady_clock;
-    out.clear();
-    out.reserve(size);
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(std::max(deadline_ms, 0));
-    char buf[1 << 16];
-    while (out.size() < size) {
-        const auto now = Clock::now();
-        if (now >= deadline) {
-            return Status(ErrorKind::IoError,
-                          "read deadline expired: got " +
-                              std::to_string(out.size()) + " of " +
-                              std::to_string(size) + " bytes");
-        }
-        const auto left = std::chrono::duration_cast<
-            std::chrono::milliseconds>(deadline - now).count();
-        const int ready =
-            wait_readable(socket, static_cast<int>(left) + 1);
-        if (ready < 0)
-            return errno_status("poll for readability failed");
-        if (ready == 0)
-            continue; // timeout or EINTR; the deadline check above exits
-        const std::size_t want =
-            std::min(size - out.size(), sizeof(buf));
-        auto got = read_some(socket, buf, want);
-        if (!got) {
-            if (got.status().kind() == ErrorKind::ConnectionClosed &&
-                !out.empty()) {
-                return Status(ErrorKind::CorruptData,
-                              "truncated read: got " +
-                                  std::to_string(out.size()) + " of " +
-                                  std::to_string(size) + " bytes");
-            }
-            return got.status();
-        }
-        const IoResult &result = got.value();
-        if (result.bytes > 0) {
-            out.append(buf, result.bytes);
-            continue;
-        }
-        if (result.closed) {
-            if (out.empty()) {
-                return Status(ErrorKind::ConnectionClosed,
-                              "peer closed the connection");
-            }
-            return Status(ErrorKind::CorruptData,
-                          "truncated read: got " +
-                              std::to_string(out.size()) + " of " +
-                              std::to_string(size) + " bytes");
-        }
-        // Spurious readability (another reader raced us): loop.
-    }
-    return Status();
-}
-
 // ------------------------------------------------------------------ epoll
 
 Epoll::Epoll() : fd_(::epoll_create1(EPOLL_CLOEXEC)) {}
@@ -483,14 +383,6 @@ Epoll::modify(int fd, std::uint64_t tag, bool want_read, bool want_write,
 {
     return control(EPOLL_CTL_MOD, fd, tag, want_read, want_write,
                    edge_triggered);
-}
-
-Status
-Epoll::remove(int fd)
-{
-    if (::epoll_ctl(fd_, EPOLL_CTL_DEL, fd, nullptr) != 0)
-        return errno_status("epoll_ctl(DEL) failed");
-    return Status();
 }
 
 Expected<std::size_t>

@@ -3,8 +3,8 @@
  * Thin, Status-returning wrapper over Unix-domain and TCP stream
  * sockets for the serve subsystem (serve/server, serve/client).
  *
- * Two tiers of API.  The blocking tier (send_all / recv_exact plus the
- * poll-based readiness waits) serves clients and tests: byte-exact,
+ * Two tiers of API.  The blocking tier (send_all / recv_exact,
+ * accept_connection) serves clients and tests: byte-exact,
  * EINTR- and EAGAIN-correct even on sockets someone flipped
  * non-blocking, retrying short writes internally.  The readiness tier
  * (set_nonblocking, read_some / write_some, try_accept, and the Epoll
@@ -65,13 +65,6 @@ class Socket
     /** Close now (idempotent; the destructor also calls this). */
     void close();
 
-    /**
-     * Half-close the read side: a peer blocked in recv on the other
-     * end sees EOF, while responses still in flight keep flowing.
-     * The drain path uses this to unstick idle sessions.
-     */
-    void shutdown_read();
-
   private:
     int fd_ = -1;
 };
@@ -112,23 +105,8 @@ Expected<Socket> connect_tcp(const std::string &host, std::uint16_t port);
 std::uint16_t local_port(const Socket &socket);
 
 /**
- * Wait up to @p timeout_ms for @p socket to become readable.
- * @return 1 readable, 0 timed out, -1 error.  EINTR reports as a
- * timeout so callers re-check the interrupt flag and come back.
- */
-int wait_readable(const Socket &socket, int timeout_ms);
-
-/**
- * Wait up to @p timeout_ms for any of @p sockets to become readable.
- * @return the index of the first readable socket, -1 on timeout (or
- * EINTR — re-check the interrupt flag), -2 on poll error.
- */
-int wait_any_readable(const std::vector<const Socket *> &sockets,
-                      int timeout_ms);
-
-/**
- * Accept one pending connection from @p listener (call after
- * wait_readable said so; blocks otherwise).  Transient accept
+ * Accept one pending connection from @p listener (blocks until one
+ * arrives).  Transient accept
  * failures (aborted handshakes, fd pressure, the net_accept fault
  * seam) return IoError — the accept loop logs and keeps serving.
  */
@@ -214,9 +192,6 @@ class Epoll
     Status modify(int fd, std::uint64_t tag, bool want_read,
                   bool want_write, bool edge_triggered = true);
 
-    /** Deregister @p fd (closing an fd also deregisters it). */
-    Status remove(int fd);
-
     /**
      * Wait up to @p timeout_ms, filling @p out (cleared first).
      * Returns the event count; 0 on timeout or EINTR.
@@ -274,16 +249,6 @@ Status send_all(const Socket &socket, const void *data, std::size_t size);
  */
 Status recv_exact(const Socket &socket, std::size_t size,
                   std::string &out);
-
-/**
- * recv_exact with a wall-clock bound: gives up with IoError once
- * @p deadline_ms elapse without the full @p size bytes arriving.  The
- * shard supervisor's health probes use this — a probe must never park
- * forever behind a wedged shard, which is exactly what recv_exact's
- * EAGAIN handling would do.
- */
-Status recv_exact_deadline(const Socket &socket, std::size_t size,
-                           std::string &out, int deadline_ms);
 
 } // namespace leakbound::util::net
 

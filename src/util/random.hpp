@@ -164,6 +164,16 @@ class Rng
         return lo + next_below(span);
     }
 
+    /**
+     * next_in(lo, lo + span - 1) for the span @p span was built from,
+     * without a divide: the same value and the same draws.
+     */
+    std::uint64_t
+    next_in(std::uint64_t lo, const FixedBound &span)
+    {
+        return lo + next_below(span);
+    }
+
     /** Uniform double in [0, 1). */
     double
     next_double()
@@ -176,23 +186,6 @@ class Rng
     next_bool(double p)
     {
         return next_double() < p;
-    }
-
-    /**
-     * Geometric-ish draw: number of failures before a success with
-     * success probability p (clamped to at least 1e-9).
-     */
-    std::uint64_t
-    next_geometric(double p)
-    {
-        if (p >= 1.0)
-            return 0;
-        if (p < 1e-9)
-            p = 1e-9;
-        std::uint64_t n = 0;
-        while (!next_bool(p) && n < 1u << 20)
-            ++n;
-        return n;
     }
 
     /** Derive an independent child generator (for parallel streams). */

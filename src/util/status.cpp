@@ -23,7 +23,6 @@ error_kind_name(ErrorKind kind)
       case ErrorKind::Overloaded: return "overloaded";
       case ErrorKind::ShuttingDown: return "shutting_down";
       case ErrorKind::ConnectionClosed: return "connection_closed";
-      case ErrorKind::CrashLoop: return "crash_loop";
     }
     return "unknown";
 }
@@ -38,7 +37,6 @@ error_kind_from_name(std::string_view name)
         ErrorKind::InvalidArgument, ErrorKind::FaultInjected,
         ErrorKind::Internal,       ErrorKind::Overloaded,
         ErrorKind::ShuttingDown,   ErrorKind::ConnectionClosed,
-        ErrorKind::CrashLoop,
     };
     for (ErrorKind kind : kAll)
         if (name == error_kind_name(kind))

@@ -49,7 +49,6 @@ enum class ErrorKind : std::uint8_t {
     Overloaded,      ///< the serve admission queue is full; retry later
     ShuttingDown,    ///< the daemon is draining; no new work is admitted
     ConnectionClosed, ///< the peer closed the connection (clean EOF)
-    CrashLoop,       ///< a supervised shard kept dying; circuit breaker tripped
 };
 
 /** Stable lower_snake name of @p kind, as emitted in JSON reports. */

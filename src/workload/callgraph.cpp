@@ -11,23 +11,37 @@
 
 namespace leakbound::workload {
 
+namespace {
+
+/** @p spec, once its ranges are walkable; fatal naming @p name if not. */
+const CallGraphSpec &
+checked(const std::string &name, const CallGraphSpec &spec)
+{
+    using util::fatal;
+    if (spec.num_functions == 0)
+        fatal("callgraph '", name, "': needs at least one function");
+    if (spec.min_instrs == 0 || spec.min_instrs > spec.max_instrs)
+        fatal("callgraph '", name, "': bad body size range");
+    if (spec.repeat_min == 0 || spec.repeat_min > spec.repeat_max)
+        fatal("callgraph '", name, "': bad repeat range");
+    return spec;
+}
+
+} // namespace
+
 CallGraphProgram::CallGraphProgram(std::string name, Pc code_base,
                                    const CallGraphSpec &spec,
                                    std::vector<DataPatternPtr> patterns,
                                    std::uint64_t seed)
-    : name_(std::move(name)), spec_(spec), patterns_(std::move(patterns)),
+    : name_(std::move(name)), spec_(checked(name_, spec)),
+      repeat_span_(std::uint64_t{spec_.repeat_max} - spec_.repeat_min + 1),
+      callee_count_(std::max(spec_.fanout, 1u)),
+      function_count_(spec_.num_functions), patterns_(std::move(patterns)),
       seed_(seed), run_rng_(seed)
 {
-    using util::fatal;
-    if (spec_.num_functions == 0)
-        fatal("callgraph '", name_, "': needs at least one function");
-    if (spec_.min_instrs == 0 || spec_.min_instrs > spec_.max_instrs)
-        fatal("callgraph '", name_, "': bad body size range");
-    if (spec_.repeat_min == 0 || spec_.repeat_min > spec_.repeat_max)
-        fatal("callgraph '", name_, "': bad repeat range");
     if (spec_.mem_fraction > 0.0 && patterns_.empty())
-        fatal("callgraph '", name_, "': memory fraction set but no ",
-              "data patterns supplied");
+        util::fatal("callgraph '", name_, "': memory fraction set but no ",
+                    "data patterns supplied");
 
     util::Rng layout_rng(seed ^ 0xca11c0deULL);
     functions_.resize(spec_.num_functions);
@@ -93,7 +107,7 @@ CallGraphProgram::enter(std::uint32_t function)
 {
     current_ = function;
     repeats_left_ = static_cast<std::uint32_t>(
-        run_rng_.next_in(spec_.repeat_min, spec_.repeat_max));
+        run_rng_.next_in(spec_.repeat_min, repeat_span_));
     instr_idx_ = 0;
     mem_idx_ = functions_[function].mem_begin;
 }
@@ -107,12 +121,13 @@ CallGraphProgram::finish_body(const Function &fn)
         mem_idx_ = fn.mem_begin;
         return;
     }
+    // Every function has spec_.fanout callees.
     const auto &callees = fn.callees;
     const std::uint32_t nxt =
         callees.empty()
             ? static_cast<std::uint32_t>(
-                  run_rng_.next_below(functions_.size()))
-            : callees[run_rng_.next_below(callees.size())];
+                  run_rng_.next_below(function_count_))
+            : callees[run_rng_.next_below(callee_count_)];
     enter(nxt);
 }
 

@@ -88,6 +88,10 @@ class CallGraphProgram final : public Workload
 
     std::string name_;
     CallGraphSpec spec_;
+    /** The walk's fixed draw bounds, so a draw costs no divide. */
+    util::FixedBound repeat_span_;    ///< repeat_max - repeat_min + 1
+    util::FixedBound callee_count_;   ///< fanout (1 when there are none)
+    util::FixedBound function_count_; ///< num_functions
     std::vector<Function> functions_;
     std::vector<std::uint32_t> mem_slots_; ///< every body's, in layout order
     std::uint64_t code_bytes_ = 0;

@@ -5,8 +5,10 @@
 # the cold render's exact bytes), then a cold request for a synthetic
 # extra, check /stats (exact sim_runs and response_lru_hits
 # accounting), then SIGTERM and require a clean drain (exit 0, socket
-# removed).  Invoked by CTest as: serve_smoke.sh <leakboundd>
-# <leakbound-client>.
+# removed).  Then the same again with two event loops: six concurrent
+# clients must get the single-loop daemon's exact bytes, and SIGTERM
+# must drain it cleanly too.  Invoked by CTest as: serve_smoke.sh
+# <leakboundd> <leakbound-client>.
 #
 # The daemon is launched directly (never inside a compound command) so
 # $! is the daemon's own PID and the TERM we send exercises *its*
@@ -24,30 +26,47 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Wait until the daemon at socket $1 (log $2) answers a ping.
+wait_ready() {
+    i=0
+    while [ $i -lt 100 ]; do
+        if "$CLIENT" --socket "$1" --ping >/dev/null 2>&1; then
+            return 0
+        fi
+        if ! kill -0 "$PID" 2>/dev/null; then
+            break
+        fi
+        sleep 0.1
+        i=$((i + 1))
+    done
+    echo "serve_smoke: daemon never became ready" >&2
+    cat "$2" >&2
+    exit 1
+}
+
+# SIGTERM the daemon at socket $1 (log $2): it must exit 0 and take
+# its socket with it.
+drain() {
+    kill -TERM "$PID"
+    status=0
+    wait "$PID" || status=$?
+    PID=
+    if [ $status -ne 0 ]; then
+        echo "serve_smoke: daemon exited $status on SIGTERM" >&2
+        cat "$2" >&2
+        exit 1
+    fi
+    if [ -e "$1" ]; then
+        echo "serve_smoke: socket left behind after drain" >&2
+        exit 1
+    fi
+}
+
 SOCK=$DIR/leakboundd.sock
-"$DAEMON" --socket "$SOCK" --workers 2 --queue-limit 8 \
+"$DAEMON" --socket "$SOCK" --workers 1 --queue-limit 8 \
     --cache-dir "$DIR/cache" >"$DIR/daemon.log" 2>&1 &
 PID=$!
-
-# Wait for the readiness line, then for the socket to answer.
-up=0
-i=0
-while [ $i -lt 100 ]; do
-    if "$CLIENT" --socket "$SOCK" --ping >/dev/null 2>&1; then
-        up=1
-        break
-    fi
-    if ! kill -0 "$PID" 2>/dev/null; then
-        break
-    fi
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ $up -ne 1 ]; then
-    echo "serve_smoke: daemon never became ready" >&2
-    cat "$DIR/daemon.log" >&2
-    exit 1
-fi
+wait_ready "$SOCK" "$DIR/daemon.log"
 
 # Cold, then warm: the second response is answered straight from the
 # rendered-response LRU, so it must be byte-for-byte the cold
@@ -100,115 +119,48 @@ grep -q '"response_lru_hits": 1' "$DIR/stats.json" || {
 }
 
 # Graceful drain: SIGTERM, daemon exits 0, socket gone.
-kill -TERM "$PID"
-status=0
-wait "$PID" || status=$?
-PID=
-if [ $status -ne 0 ]; then
-    echo "serve_smoke: daemon exited $status on SIGTERM" >&2
-    cat "$DIR/daemon.log" >&2
-    exit 1
-fi
-if [ -e "$SOCK" ]; then
-    echo "serve_smoke: socket left behind after drain" >&2
-    exit 1
-fi
+drain "$SOCK" "$DIR/daemon.log"
 
-# ---- Fleet phase: 2-shard supervisor over the same cache ----------
-# Start a supervised fleet, route a run through it (warm — the shard
-# loads the result the single daemon just simulated, proving the
-# cache is shared), SIGKILL one shard, confirm the supervisor respawns
-# it and the fleet still answers byte-identically, then drain clean.
-FSOCK=$DIR/fleet.sock
-"$DAEMON" --socket "$FSOCK" --shards 2 --workers 1 \
-    --restart-backoff-ms 50 --restart-backoff-cap-ms 400 \
-    --health-interval-ms 200 \
-    --cache-dir "$DIR/cache" >"$DIR/fleet.log" 2>&1 &
+# ---- Two event loops: six concurrent clients, same bytes ----------
+# A fresh cache, so both requests simulate cold again, as they did
+# above: each response must be the single-loop daemon's exact bytes.
+LSOCK=$DIR/loops.sock
+"$DAEMON" --socket "$LSOCK" --workers 2 --queue-limit 8 \
+    --cache-dir "$DIR/cache-loops" >"$DIR/loops.log" 2>&1 &
 PID=$!
+wait_ready "$LSOCK" "$DIR/loops.log"
 
-up=0
-i=0
-while [ $i -lt 100 ]; do
-    if "$CLIENT" --socket "$FSOCK" --ping >/dev/null 2>&1; then
-        up=1
-        break
-    fi
-    if ! kill -0 "$PID" 2>/dev/null; then
-        break
-    fi
-    sleep 0.1
-    i=$((i + 1))
+CLIENTS=
+for k in 1 2 3; do
+    "$CLIENT" --socket "$LSOCK" --benchmarks gzip --instructions 50000 \
+        >"$DIR/loops_gzip$k.json" &
+    CLIENTS="$CLIENTS $!"
+    "$CLIENT" --socket "$LSOCK" --benchmarks stream --instructions 200000 \
+        >"$DIR/loops_stream$k.json" &
+    CLIENTS="$CLIENTS $!"
 done
-if [ $up -ne 1 ]; then
-    echo "serve_smoke: fleet never became ready" >&2
-    cat "$DIR/fleet.log" >&2
-    exit 1
-fi
-
-"$CLIENT" --socket "$FSOCK" --shards 2 --benchmarks gzip \
-    --instructions 50000 >"$DIR/fleet1.json"
-grep -q '"from_cache": true' "$DIR/fleet1.json" || {
-    echo "serve_smoke: fleet shard did not share the artifact cache" >&2
-    cat "$DIR/fleet1.json" >&2
+for client in $CLIENTS; do
+    wait "$client" || {
+        echo "serve_smoke: a client of the two-loop daemon failed" >&2
+        cat "$DIR/loops.log" >&2
+        exit 1
+    }
+done
+for k in 1 2 3; do
+    if ! cmp -s "$DIR/run1.json" "$DIR/loops_gzip$k.json" ||
+        ! cmp -s "$DIR/run3.json" "$DIR/loops_stream$k.json"; then
+        echo "serve_smoke: two-loop response differs from the" \
+             "single-loop daemon's" >&2
+        exit 1
+    fi
+done
+"$CLIENT" --socket "$LSOCK" --stats >"$DIR/loops_stats.json"
+grep -q '"requests_served": 6' "$DIR/loops_stats.json" || {
+    echo "serve_smoke: two-loop stats did not count all six runs" >&2
+    cat "$DIR/loops_stats.json" >&2
     exit 1
 }
 
-# SIGKILL one shard (the supervisor's children are the shards) and
-# wait for the respawn: two live shard children again, one of them new.
-SHARD=$(pgrep -P "$PID" | head -n 1)
-if [ -z "$SHARD" ]; then
-    echo "serve_smoke: could not find a shard child to kill" >&2
-    cat "$DIR/fleet.log" >&2
-    exit 1
-fi
-kill -9 "$SHARD"
-recovered=0
-i=0
-while [ $i -lt 100 ]; do
-    live=$(pgrep -P "$PID" | grep -cv "^$SHARD\$" || true)
-    if [ "$live" -ge 2 ]; then
-        recovered=1
-        break
-    fi
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ $recovered -ne 1 ]; then
-    echo "serve_smoke: supervisor never respawned the killed shard" >&2
-    cat "$DIR/fleet.log" >&2
-    exit 1
-fi
-
-# The revived fleet answers the same request with the same bytes, and
-# the supervisor's aggregated stats admit to the restart.
-"$CLIENT" --socket "$FSOCK" --shards 2 --benchmarks gzip \
-    --instructions 50000 >"$DIR/fleet2.json"
-if ! cmp -s "$DIR/fleet1.json" "$DIR/fleet2.json"; then
-    echo "serve_smoke: fleet response changed across a shard" \
-         "restart" >&2
-    exit 1
-fi
-"$CLIENT" --socket "$FSOCK" --stats >"$DIR/fleet_stats.json"
-grep -q '"restarts_total": 1' "$DIR/fleet_stats.json" || {
-    echo "serve_smoke: fleet stats did not count the restart" >&2
-    cat "$DIR/fleet_stats.json" >&2
-    exit 1
-}
-
-# Graceful fleet drain: SIGTERM fans out, supervisor exits 0, control
-# socket gone.
-kill -TERM "$PID"
-status=0
-wait "$PID" || status=$?
-PID=
-if [ $status -ne 0 ]; then
-    echo "serve_smoke: fleet exited $status on SIGTERM" >&2
-    cat "$DIR/fleet.log" >&2
-    exit 1
-fi
-if [ -e "$FSOCK" ]; then
-    echo "serve_smoke: control socket left behind after fleet drain" >&2
-    exit 1
-fi
+drain "$LSOCK" "$DIR/loops.log"
 
 echo "serve_smoke: ok"

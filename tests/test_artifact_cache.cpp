@@ -412,7 +412,7 @@ TEST(ArtifactCache, StaleLockIsBroken)
 
 TEST(ArtifactCache, LockHeldBySigkilledProcessIsBrokenAndCounted)
 {
-    // The crash-hygiene case behind the shard fleet: a shard that
+    // The crash-hygiene case: a process (a daemon, a bench binary) that
     // acquired an entry lock and was then SIGKILLed leaves its `.lock`
     // behind with no process to release it.  Survivors must break the
     // stale lock (counted — CacheHealth::lock_breaks feeds the

@@ -49,7 +49,8 @@
  *    after finalize the serialized set and the raw intervals.
  *
  *  - Draws: util::Rng::next_below (lazy threshold), util::FixedBound
- *    (direct remainder) and the Random and Stack data patterns against
+ *    (direct remainder), next_in through a FixedBound (CallGraphProgram's
+ *    walk) and the Random and Stack data patterns against
  *    the per-draw oracle (reference_patterns.hpp) over seeded streams,
  *    asserting every value and the number of raw draws consumed.
  *
@@ -66,6 +67,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/artifact_cache.hpp"
@@ -1178,6 +1180,37 @@ TEST(DrawLockstep, FixedBoundMatchesModulo)
                 ASSERT_EQ(rng.next_u64(), reference.next_u64())
                     << "draws consumed differ: bound " << b << " seed "
                     << seed << " draw " << i;
+            }
+        }
+    }
+}
+
+/**
+ * next_in through a FixedBound of the span, as CallGraphProgram draws
+ * its body repeats, against lo + the reference next_below of the span:
+ * every value, and the raw draw after every call.
+ */
+TEST(DrawLockstep, NextInThroughFixedBoundMatchesReference)
+{
+    const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+        {0, 0},          {1, 1},           {1, 3},
+        {2, 9},          {5, 1025},        {1000, 1000 + (1u << 20)},
+        {7, 7 + (3u << 14)}, {1, ~std::uint64_t{0}},
+        {0, ~std::uint64_t{0} - 1}};
+    for (const auto &[lo, hi] : ranges) {
+        const std::uint64_t span = hi - lo + 1;
+        const util::FixedBound fixed(span);
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            util::Rng rng(seed * 0x9e3779b97f4a7c15ULL ^ lo ^ hi);
+            util::Rng reference = rng;
+            for (int i = 0; i < 500; ++i) {
+                ASSERT_EQ(rng.next_in(lo, fixed),
+                          lo + oracle::reference_next_below(reference, span))
+                    << "range [" << lo << ", " << hi << "] seed " << seed
+                    << " draw " << i;
+                ASSERT_EQ(rng.next_u64(), reference.next_u64())
+                    << "draws consumed differ: range [" << lo << ", " << hi
+                    << "] seed " << seed << " draw " << i;
             }
         }
     }

@@ -253,7 +253,7 @@ TEST(ErrorFrames, RoundTripEveryErrorKind)
           ErrorKind::Interrupted, ErrorKind::InvalidArgument,
           ErrorKind::FaultInjected, ErrorKind::Internal,
           ErrorKind::Overloaded, ErrorKind::ShuttingDown,
-          ErrorKind::ConnectionClosed, ErrorKind::CrashLoop}) {
+          ErrorKind::ConnectionClosed}) {
         const std::string frame =
             render_error(util::Status(kind, "why it failed"));
         auto parsed = util::json_parse(frame);
@@ -302,10 +302,10 @@ TEST(SigpipeHygiene, WritingToAHalfClosedSocketNeverKillsTheProcess)
 
 TEST(TruncatedResponse, FrameCutMidBodyIsTypedAndRetryableNeverParsed)
 {
-    // A shard SIGKILLed mid-reply leaves the client holding a header
+    // A daemon killed mid-reply leaves the client holding a header
     // that promises more bytes than will ever arrive.  The client must
-    // surface a typed CorruptData — worth a failover — and never hand
-    // a partial JSON document to the parser.
+    // surface a typed CorruptData and never hand a partial JSON
+    // document to the parser.
     auto [client, server] = connected_pair();
     std::thread lying_server([&server = server] {
         auto request = recv_frame(server);
@@ -320,41 +320,6 @@ TEST(TruncatedResponse, FrameCutMidBodyIsTypedAndRetryableNeverParsed)
     lying_server.join();
     ASSERT_FALSE(response.has_value());
     EXPECT_EQ(response.status().kind(), util::ErrorKind::CorruptData);
-    EXPECT_TRUE(failover_worthy(response.status()))
-        << "a truncated frame must reroute, not give up";
-}
-
-TEST(FailoverWorthy, ClassifiesShardFailuresVersusRequestVerdicts)
-{
-    using util::ErrorKind;
-    using util::Status;
-    // Shard-side failures reroute...
-    EXPECT_TRUE(failover_worthy(Status(ErrorKind::ConnectionClosed, "")));
-    EXPECT_TRUE(failover_worthy(Status(ErrorKind::IoError, "refused")));
-    EXPECT_TRUE(failover_worthy(Status(ErrorKind::CorruptData, "cut")));
-    EXPECT_TRUE(failover_worthy(Status(ErrorKind::ShuttingDown, "")));
-    // ...request verdicts and fleet-wide load do not.
-    EXPECT_FALSE(failover_worthy(Status(ErrorKind::InvalidArgument, "")));
-    EXPECT_FALSE(failover_worthy(Status(ErrorKind::Overloaded, "")));
-    EXPECT_FALSE(failover_worthy(Status(ErrorKind::Internal, "")));
-    EXPECT_FALSE(failover_worthy(util::Status()));
-}
-
-// --------------------------------------------------- deadline receives
-
-TEST(RecvFrameDeadline, ExpiresTypedInsteadOfParkingForever)
-{
-    auto [client, server] = connected_pair();
-    // Nothing ever sent: the deadline must fire.
-    auto got = recv_frame_deadline(server, kDefaultMaxFrameBytes, 50);
-    ASSERT_FALSE(got.has_value());
-    EXPECT_EQ(got.status().kind(), util::ErrorKind::IoError);
-
-    // A frame already on the wire arrives well inside the deadline.
-    ASSERT_TRUE(send_frame(client, "{\"type\":\"ping\"}").ok());
-    auto ok = recv_frame_deadline(server, kDefaultMaxFrameBytes, 1'000);
-    ASSERT_TRUE(ok.has_value()) << ok.status().to_string();
-    EXPECT_EQ(ok.value(), "{\"type\":\"ping\"}");
 }
 
 // ------------------------------------------------------ latency recorder

@@ -1,9 +1,11 @@
 /**
  * @file
  * Tests of the leakboundd service layer: request decoding, the
- * dedup/backpressure scheduler, graceful drain, and a full
+ * dedup/backpressure scheduler, graceful drain, a full
  * daemon-in-a-thread round trip whose results must be byte-identical
- * to the offline suite runner.
+ * to the offline suite runner, and the daemon's event loops: two in
+ * every ServeFixture case, four in the cases that check how
+ * connections spread over them.
  *
  * Carries the `serve` and `sanitize` CTest labels — the scheduler and
  * server are the repo's most thread-shaped code, so the tsan preset
@@ -18,13 +20,17 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "core/artifact_cache.hpp"
 #include "core/experiment.hpp"
@@ -116,6 +122,29 @@ response_kind(const std::string &frame)
     EXPECT_TRUE(parsed.has_value()) << frame;
     const util::JsonValue *kind = parsed.value().find("kind");
     return kind == nullptr ? "" : kind->string_value();
+}
+
+using Response = std::shared_ptr<const std::string>;
+
+/** Submit @p request; the future receives what submit_async delivers. */
+std::future<Response>
+submit(Scheduler &scheduler, core::ExperimentRequest request)
+{
+    auto promise = std::make_shared<std::promise<Response>>();
+    std::future<Response> future = promise->get_future();
+    scheduler.submit_async(std::move(request),
+                           [promise](Response response) {
+                               promise->set_value(std::move(response));
+                           });
+    return future;
+}
+
+/** Whether @p future is already answered (no waiting). */
+bool
+answered(const std::future<Response> &future)
+{
+    return future.wait_for(std::chrono::seconds(0)) ==
+           std::future_status::ready;
 }
 
 } // namespace
@@ -218,41 +247,29 @@ TEST(Scheduler, DedupesConcurrentIdenticalRequestsIntoOneSimulation)
     config.before_job = gate.hook();
     Scheduler scheduler(config);
 
-    std::vector<std::shared_ptr<const std::string>> responses(kClients);
-    std::vector<util::Status> failures(kClients);
-    std::vector<std::thread> clients;
-    for (unsigned i = 0; i < kClients; ++i) {
-        clients.emplace_back([&, i] {
-            auto response = scheduler.submit(small_request());
-            if (response)
-                responses[i] = response.take();
-            else
-                failures[i] = response.status();
-        });
-    }
-
-    // Everyone must be inside submit() before the one simulation is
-    // allowed to proceed, so all eight share the in-flight job.
-    ASSERT_TRUE(eventually([&] {
-        return scheduler.counters().submitted == kClients &&
-               gate.entered.load() >= 1;
-    }));
+    // Everyone is admitted before the one simulation may proceed, so
+    // all eight share the in-flight job.
+    std::vector<std::future<Response>> responses;
+    for (unsigned i = 0; i < kClients; ++i)
+        responses.push_back(submit(scheduler, small_request()));
+    ASSERT_TRUE(eventually([&] { return gate.entered.load() >= 1; }));
+    EXPECT_EQ(scheduler.counters().submitted, kClients);
     gate.release();
-    for (std::thread &client : clients)
-        client.join();
 
+    std::vector<Response> bodies;
+    for (std::future<Response> &response : responses)
+        bodies.push_back(response.get());
     const SchedulerCounters counters = scheduler.counters();
     EXPECT_EQ(counters.simulations, 1u) << "dedup failed: identical "
                                            "concurrent requests "
                                            "simulated more than once";
     EXPECT_EQ(counters.dedup_hits, kClients - 1);
     EXPECT_EQ(counters.served, kClients);
-    for (unsigned i = 0; i < kClients; ++i) {
-        ASSERT_NE(responses[i], nullptr) << failures[i].to_string();
+    for (const Response &body : bodies) {
+        ASSERT_NE(body, nullptr);
         // Byte-identity by construction: the same response object.
-        EXPECT_EQ(responses[i], responses[0]);
-        EXPECT_EQ(*responses[i], *responses[0]);
-        EXPECT_EQ(response_status(*responses[i]), "ok");
+        EXPECT_EQ(body, bodies[0]);
+        EXPECT_EQ(response_status(*body), "ok");
     }
 }
 
@@ -266,37 +283,26 @@ TEST(Scheduler, RejectsPastBoundRequestsOverloadedWithinADeadline)
     Scheduler scheduler(config);
 
     // A: occupies the one worker (blocked at the gate).
-    std::thread a([&] {
-        auto response = scheduler.submit(small_request());
-        EXPECT_TRUE(response.has_value());
-    });
+    std::future<Response> a = submit(scheduler, small_request());
     ASSERT_TRUE(eventually([&] { return gate.entered.load() == 1; }));
 
     // B: fills the one queue slot.  Payload=true keeps its fingerprint
     // distinct from A's so it queues instead of joining A.
-    std::thread b([&] {
-        auto response = scheduler.submit(small_request(true));
-        EXPECT_TRUE(response.has_value());
-    });
-    ASSERT_TRUE(eventually(
-        [&] { return scheduler.counters().queue_depth == 1; }));
+    std::future<Response> b = submit(scheduler, small_request(true));
+    EXPECT_EQ(scheduler.counters().queue_depth, 1u);
 
-    // C: past the bound — must be rejected typed and immediately, not
-    // block behind the stuck worker.
+    // C: past the bound — must be rejected typed and at once, not
+    // wait behind the stuck worker.
     core::ExperimentRequest distinct = small_request();
     distinct.config.nl_lead_time = 99; // distinct fingerprint
-    const auto begun = std::chrono::steady_clock::now();
-    auto rejected = scheduler.submit(std::move(distinct));
-    const auto waited =
-        std::chrono::steady_clock::now() - begun;
-    ASSERT_FALSE(rejected.has_value());
-    EXPECT_EQ(rejected.status().kind(), util::ErrorKind::Overloaded);
-    EXPECT_LT(waited, std::chrono::seconds(5));
+    std::future<Response> c = submit(scheduler, std::move(distinct));
+    ASSERT_TRUE(answered(c));
+    EXPECT_EQ(response_kind(*c.get()), "overloaded");
     EXPECT_EQ(scheduler.counters().rejected_overloaded, 1u);
 
     gate.release();
-    a.join();
-    b.join();
+    EXPECT_EQ(response_status(*a.get()), "ok");
+    EXPECT_EQ(response_status(*b.get()), "ok");
 }
 
 TEST(Scheduler, DrainFailsQueuedJobsAndFinishesInFlightOnes)
@@ -308,55 +314,33 @@ TEST(Scheduler, DrainFailsQueuedJobsAndFinishesInFlightOnes)
     config.before_job = gate.hook();
     Scheduler scheduler(config);
 
-    std::shared_ptr<const std::string> running_response;
-    std::thread a([&] {
-        auto response = scheduler.submit(small_request());
-        ASSERT_TRUE(response.has_value());
-        running_response = response.take();
-    });
+    std::future<Response> running = submit(scheduler, small_request());
     ASSERT_TRUE(eventually([&] { return gate.entered.load() == 1; }));
-
-    std::shared_ptr<const std::string> queued_response;
-    std::thread b([&] {
-        auto response = scheduler.submit(small_request(true));
-        ASSERT_TRUE(response.has_value());
-        queued_response = response.take();
-    });
-    ASSERT_TRUE(eventually(
-        [&] { return scheduler.counters().queue_depth == 1; }));
-
+    std::future<Response> queued = submit(scheduler, small_request(true));
+    EXPECT_EQ(scheduler.counters().queue_depth, 1u);
     // A dedup joiner on the queued job: its waiter must be accounted
     // as rejected, not served, when the drain fails the job.
-    std::shared_ptr<const std::string> joined_response;
-    std::thread b2([&] {
-        auto response = scheduler.submit(small_request(true));
-        ASSERT_TRUE(response.has_value());
-        joined_response = response.take();
-    });
-    ASSERT_TRUE(eventually(
-        [&] { return scheduler.counters().dedup_hits == 1; }));
+    std::future<Response> joined = submit(scheduler, small_request(true));
+    EXPECT_EQ(scheduler.counters().dedup_hits, 1u);
 
     std::thread drainer([&] { scheduler.drain(); });
     // The queued job fails without waiting for the running one.
-    b.join();
-    b2.join();
-    ASSERT_NE(queued_response, nullptr);
+    const Response queued_response = queued.get();
     EXPECT_EQ(response_status(*queued_response), "error");
     EXPECT_EQ(response_kind(*queued_response), "shutting_down");
-    ASSERT_NE(joined_response, nullptr);
-    EXPECT_EQ(joined_response, queued_response);
+    EXPECT_EQ(joined.get(), queued_response);
+    EXPECT_FALSE(answered(running));
 
     gate.release(); // let the in-flight job finish
-    a.join();
     drainer.join();
-    ASSERT_NE(running_response, nullptr);
-    EXPECT_EQ(response_status(*running_response), "ok")
+    ASSERT_TRUE(answered(running));
+    EXPECT_EQ(response_status(*running.get()), "ok")
         << "an admitted-and-started request must complete on drain";
 
     // After the drain no new work is admitted.
-    auto late = scheduler.submit(small_request());
-    ASSERT_FALSE(late.has_value());
-    EXPECT_EQ(late.status().kind(), util::ErrorKind::ShuttingDown);
+    std::future<Response> late = submit(scheduler, small_request());
+    ASSERT_TRUE(answered(late));
+    EXPECT_EQ(response_kind(*late.get()), "shutting_down");
 
     // Every waiter landed in exactly one /stats bucket: the running
     // job's waiter was served; the drained job's two waiters and the
@@ -374,14 +358,14 @@ TEST(ResponseLru, HitReturnsTheExactRenderedObject)
     config.workers = 1;
     Scheduler scheduler(config);
 
-    auto first = scheduler.submit(small_request());
-    ASSERT_TRUE(first.has_value()) << first.status().to_string();
-    auto second = scheduler.submit(small_request());
-    ASSERT_TRUE(second.has_value()) << second.status().to_string();
+    const Response first = submit(scheduler, small_request()).get();
+    std::future<Response> second = submit(scheduler, small_request());
+    // A hit is answered on the submitting thread, before submit returns.
+    ASSERT_TRUE(answered(second));
     // Not merely equal bytes: the very same rendered object the cold
     // run produced.
-    EXPECT_EQ(first.value(), second.value());
-    EXPECT_EQ(*first.value(), *second.value());
+    EXPECT_EQ(second.get(), first);
+    EXPECT_EQ(response_status(*first), "ok");
 
     const SchedulerCounters counters = scheduler.counters();
     EXPECT_EQ(counters.simulations, 1u)
@@ -400,7 +384,8 @@ TEST(ResponseLru, EvictsAtTheByteBudgetInRecencyOrder)
         SchedulerConfig config;
         config.workers = 1;
         Scheduler probe(config);
-        ASSERT_TRUE(probe.submit(small_request(true)).has_value());
+        ASSERT_EQ(response_status(*submit(probe, small_request(true)).get()),
+                  "ok");
         probe_bytes = probe.counters().response_lru_bytes;
         ASSERT_GT(probe_bytes, 0u);
     }
@@ -412,10 +397,14 @@ TEST(ResponseLru, EvictsAtTheByteBudgetInRecencyOrder)
     config.response_cache_bytes =
         static_cast<std::size_t>(probe_bytes);
     Scheduler scheduler(config);
+    auto run = [&](bool want_payload) {
+        return response_status(
+            *submit(scheduler, small_request(want_payload)).get());
+    };
 
-    ASSERT_TRUE(scheduler.submit(small_request(true)).has_value());
+    ASSERT_EQ(run(true), "ok");
     EXPECT_EQ(scheduler.counters().response_lru_entries, 1u);
-    ASSERT_TRUE(scheduler.submit(small_request(false)).has_value());
+    ASSERT_EQ(run(false), "ok");
     {
         const SchedulerCounters counters = scheduler.counters();
         EXPECT_EQ(counters.response_lru_evictions, 1u)
@@ -426,9 +415,9 @@ TEST(ResponseLru, EvictsAtTheByteBudgetInRecencyOrder)
     }
 
     // The survivor hits; the evicted shape re-simulates.
-    ASSERT_TRUE(scheduler.submit(small_request(false)).has_value());
+    ASSERT_EQ(run(false), "ok");
     EXPECT_EQ(scheduler.counters().response_lru_hits, 1u);
-    ASSERT_TRUE(scheduler.submit(small_request(true)).has_value());
+    ASSERT_EQ(run(true), "ok");
     const SchedulerCounters counters = scheduler.counters();
     EXPECT_EQ(counters.simulations, 3u)
         << "an evicted response must not be served from the LRU";
@@ -443,8 +432,10 @@ TEST(ResponseLru, ZeroBudgetDisablesCachingEntirely)
     config.response_cache_bytes = 0;
     Scheduler scheduler(config);
 
-    ASSERT_TRUE(scheduler.submit(small_request()).has_value());
-    ASSERT_TRUE(scheduler.submit(small_request()).has_value());
+    ASSERT_EQ(response_status(*submit(scheduler, small_request()).get()),
+              "ok");
+    ASSERT_EQ(response_status(*submit(scheduler, small_request()).get()),
+              "ok");
     const SchedulerCounters counters = scheduler.counters();
     EXPECT_EQ(counters.simulations, 2u);
     EXPECT_EQ(counters.response_lru_hits, 0u);
@@ -467,43 +458,35 @@ TEST(Scheduler, ShedsUnmeetableDeadlinesWithoutQueueing)
     Scheduler scheduler(config);
 
     // A: occupies the one worker, held at the gate.
-    std::thread a([&] {
-        EXPECT_TRUE(scheduler.submit(small_request()).has_value());
-    });
+    std::future<Response> a = submit(scheduler, small_request());
     ASSERT_TRUE(eventually([&] { return gate.entered.load() == 1; }));
 
     // B: distinct shape, 1 ms deadline — with a 10 s cost model the
-    // estimate cannot fit, so it is shed typed and immediately.
+    // estimate cannot fit, so it is shed typed and at once.
     core::ExperimentRequest doomed = small_request(true);
     doomed.deadline_ms = 1;
-    auto rejected = scheduler.submit(std::move(doomed));
-    ASSERT_FALSE(rejected.has_value());
-    EXPECT_EQ(rejected.status().kind(), util::ErrorKind::Overloaded);
+    std::future<Response> b = submit(scheduler, std::move(doomed));
+    ASSERT_TRUE(answered(b));
+    EXPECT_EQ(response_kind(*b.get()), "overloaded");
     EXPECT_EQ(scheduler.counters().rejected_deadline, 1u);
 
     // C: the same shape with no deadline queues normally — deadline
     // shedding must never reject deadline-free requests.
-    std::thread c([&] {
-        EXPECT_TRUE(scheduler.submit(small_request(true)).has_value());
-    });
-    ASSERT_TRUE(eventually(
-        [&] { return scheduler.counters().queue_depth == 1; }));
+    std::future<Response> c = submit(scheduler, small_request(true));
+    EXPECT_EQ(scheduler.counters().queue_depth, 1u);
 
     // D: an identical twin of C carrying a hopeless deadline joins the
     // in-flight group instead of being shed — the deadline is
     // admission metadata, not part of the dedup key.
-    std::thread d([&] {
-        core::ExperimentRequest twin = small_request(true);
-        twin.deadline_ms = 1;
-        EXPECT_TRUE(scheduler.submit(std::move(twin)).has_value());
-    });
-    ASSERT_TRUE(eventually(
-        [&] { return scheduler.counters().dedup_hits == 1; }));
+    core::ExperimentRequest twin = small_request(true);
+    twin.deadline_ms = 1;
+    std::future<Response> d = submit(scheduler, std::move(twin));
+    EXPECT_EQ(scheduler.counters().dedup_hits, 1u);
 
     gate.release();
-    a.join();
-    c.join();
-    d.join();
+    EXPECT_EQ(response_status(*a.get()), "ok");
+    EXPECT_EQ(response_status(*c.get()), "ok");
+    EXPECT_EQ(response_status(*d.get()), "ok");
 
     const SchedulerCounters counters = scheduler.counters();
     EXPECT_EQ(counters.served, 3u);
@@ -515,17 +498,20 @@ TEST(Scheduler, ShedsUnmeetableDeadlinesWithoutQueueing)
 
 namespace {
 
-/** A Server on an ephemeral loopback port + a serve() thread. */
+/**
+ * A Server on an ephemeral loopback port + a serve() thread, with
+ * @p workers scheduler workers and as many event loops.
+ */
 class ServeFixture : public ::testing::Test
 {
   protected:
     void
-    start(ServerConfig config = {})
+    start(ServerConfig config = {}, unsigned workers = 2)
     {
         config.unix_path.clear();
         config.listen_tcp = true;
         config.tcp_port = 0;
-        config.scheduler.workers = 2;
+        config.scheduler.workers = workers;
         server = std::make_unique<Server>(std::move(config));
         ASSERT_TRUE(server->start().ok());
         endpoint.tcp_port = server->tcp_port();
@@ -661,8 +647,10 @@ TEST_F(ServeFixture, LoadRunDedupesAndReportsIdenticalResponses)
     RunRequest request;
     request.benchmarks = {"gzip"};
     request.instructions = 20'000;
-    const LoadReport report = run_load(endpoint, request,
-                                       /*total=*/8, /*concurrency=*/8);
+    LoadOptions options;
+    options.total = 8;
+    options.concurrency = 8;
+    const LoadReport report = run_load(endpoint, request, options);
     EXPECT_EQ(report.sent, 8u);
     EXPECT_EQ(report.ok, 8u);
     EXPECT_EQ(report.overloaded, 0u);
@@ -736,6 +724,14 @@ TEST_F(ServeFixture, StatsReportServedAndLatency)
     EXPECT_GE(stats.find("latency_p99_ms")->number_value(),
               stats.find("latency_p50_ms")->number_value());
     EXPECT_GT(stats.find("uptime_seconds")->number_value(), 0.0);
+    EXPECT_EQ(stats.find("loop_connections")->array().size(), 2u);
+
+    // The health probe a process manager polls: this process, serving.
+    auto health = call_endpoint(endpoint, R"({"type":"health"})");
+    ASSERT_TRUE(health.has_value()) << health.status().to_string();
+    EXPECT_EQ(health.value().find("pid")->u64_value(),
+              static_cast<std::uint64_t>(::getpid()));
+    EXPECT_FALSE(health.value().find("draining")->bool_value());
 }
 
 TEST_F(ServeFixture, StatsCountResponseLruHitsExactly)
@@ -814,7 +810,7 @@ TEST_F(ServeFixture, ShedsDeadlinesEndToEnd)
 
 TEST_F(ServeFixture, StatsSurfaceStaleLockBreaksAsLocksBroken)
 {
-    // Crash hygiene end to end: a shard SIGKILLed while holding a
+    // Crash hygiene end to end: a daemon SIGKILLed while holding a
     // cache entry lock leaves a stale `.lock`; the next daemon to miss
     // that entry breaks it, and the break must surface in /stats as
     // `locks_broken` (and in the run response's cache_health).
@@ -860,190 +856,6 @@ TEST_F(ServeFixture, StatsSurfaceStaleLockBreaksAsLocksBroken)
     fs::remove_all(dir);
 }
 
-// ------------------------------------------------------------ fleet mode
-
-namespace {
-
-/** Two Servers on ephemeral loopback ports, each with a serve thread —
- *  the in-process stand-in for a two-shard fleet (no fork: this file
- *  runs under TSan). */
-class FleetFixture : public ::testing::Test
-{
-  protected:
-    void
-    start_shards(ServerConfig config = {})
-    {
-        for (int i = 0; i < 2; ++i) {
-            config.unix_path.clear();
-            config.listen_tcp = true;
-            config.tcp_port = 0;
-            config.scheduler.workers = 2;
-            config.shard_index = i;
-            shards[i] = std::make_unique<Server>(config);
-            ASSERT_TRUE(shards[i]->start().ok());
-            Endpoint endpoint;
-            endpoint.tcp_port = shards[i]->tcp_port();
-            fleet.push_back(endpoint);
-            threads[i] = std::thread([server = shards[i].get()] {
-                util::Status served = server->serve();
-                EXPECT_TRUE(served.ok()) << served.to_string();
-            });
-        }
-    }
-
-    void
-    stop_shard(unsigned index)
-    {
-        shards[index]->request_drain();
-        threads[index].join();
-    }
-
-    void
-    TearDown() override
-    {
-        for (int i = 0; i < 2; ++i) {
-            if (shards[i] && threads[i].joinable()) {
-                shards[i]->request_drain();
-                threads[i].join();
-            }
-        }
-    }
-
-    std::unique_ptr<Server> shards[2];
-    std::thread threads[2];
-    std::vector<Endpoint> fleet;
-};
-
-} // namespace
-
-TEST_F(FleetFixture, CallFleetRoutesToTheFingerprintHomeShard)
-{
-    start_shards();
-
-    RunRequest request;
-    request.benchmarks = {"gzip"};
-    request.instructions = 20'000;
-    auto fingerprint = fingerprint_run_request(request);
-    ASSERT_TRUE(fingerprint.has_value())
-        << fingerprint.status().to_string();
-    const unsigned home = core::route_shard(fingerprint.value(), 2);
-
-    std::uint64_t failovers = 0;
-    auto response = call_fleet(fleet, request, FailoverPolicy{},
-                               kDefaultMaxFrameBytes, nullptr,
-                               &failovers);
-    ASSERT_TRUE(response.has_value()) << response.status().to_string();
-    EXPECT_EQ(failovers, 0u);
-    // Exactly the home shard served it; the other stayed idle.
-    EXPECT_EQ(shards[home]->stats().requests_served, 1u);
-    EXPECT_EQ(shards[1 - home]->stats().requests_served, 0u);
-    // And the client-side fingerprint is the server's dedup key.
-    EXPECT_EQ(response.value().find("request_fingerprint")->string_value(),
-              util::hex64(fingerprint.value()));
-}
-
-TEST_F(FleetFixture, CallFleetFailsOverWhenTheHomeShardIsDown)
-{
-    start_shards();
-
-    RunRequest request;
-    request.benchmarks = {"gzip"};
-    request.instructions = 20'000;
-    auto fingerprint = fingerprint_run_request(request);
-    ASSERT_TRUE(fingerprint.has_value());
-    const unsigned home = core::route_shard(fingerprint.value(), 2);
-
-    // The home shard dies (drained and gone: connects are refused).
-    stop_shard(home);
-
-    std::uint64_t failovers = 0;
-    std::string raw;
-    auto response = call_fleet(fleet, request, FailoverPolicy{},
-                               kDefaultMaxFrameBytes, &raw, &failovers);
-    ASSERT_TRUE(response.has_value())
-        << "failover must reach the surviving shard: "
-        << response.status().to_string();
-    EXPECT_GE(failovers, 1u);
-    EXPECT_EQ(shards[1 - home]->stats().requests_served, 1u);
-
-    // Non-failover-worthy verdicts still return immediately: an
-    // invalid request is the request's fault, not the shard's.
-    RunRequest broken = request;
-    broken.instructions = 10; // below the decoder floor
-    auto verdict = call_fleet(fleet, broken);
-    ASSERT_FALSE(verdict.has_value());
-    EXPECT_EQ(verdict.status().kind(),
-              util::ErrorKind::InvalidArgument);
-}
-
-TEST_F(FleetFixture, FleetLoadReportsFullOkUnderSingleShardLoss)
-{
-    start_shards();
-
-    RunRequest request;
-    request.benchmarks = {"gzip"};
-    request.instructions = 20'000;
-    auto fingerprint = fingerprint_run_request(request);
-    ASSERT_TRUE(fingerprint.has_value());
-    const unsigned home = core::route_shard(fingerprint.value(), 2);
-
-    // Warm both shards first so the failover target answers from its
-    // own cache/LRU quickly.
-    for (const Endpoint &endpoint : fleet) {
-        auto warm = call_endpoint(endpoint, build_run_request(request));
-        ASSERT_TRUE(warm.has_value()) << warm.status().to_string();
-    }
-
-    stop_shard(home);
-
-    LoadOptions options;
-    options.total = 16;
-    options.concurrency = 4;
-    options.fleet = fleet;
-    const LoadReport report = run_load(fleet[home], request, options);
-    EXPECT_EQ(report.sent, 16u);
-    EXPECT_EQ(report.ok, 16u)
-        << "every request must fail over to the live shard";
-    EXPECT_GE(report.failovers, 16u);
-    EXPECT_EQ(report.distinct_responses, 1u)
-        << "failover responses are not byte-identical";
-
-    // Pipelined persistent fleet mode survives the same loss.
-    LoadOptions pipelined = options;
-    pipelined.persistent = true;
-    pipelined.pipeline = 4;
-    const LoadReport report2 = run_load(fleet[home], request, pipelined);
-    EXPECT_EQ(report2.sent, 16u);
-    EXPECT_EQ(report2.ok, 16u);
-    EXPECT_GE(report2.failovers, 1u);
-}
-
-TEST(ShardEndpoints, DeriveUnixAndTcpNamesByConvention)
-{
-    Endpoint base;
-    base.unix_path = "/tmp/leak.sock";
-    EXPECT_EQ(shard_endpoint(base, 0).unix_path, "/tmp/leak.sock.0");
-    EXPECT_EQ(shard_endpoint(base, 3).unix_path, "/tmp/leak.sock.3");
-
-    Endpoint tcp;
-    tcp.tcp_port = 9000;
-    EXPECT_EQ(shard_endpoint(tcp, 0).tcp_port, 9001);
-    EXPECT_EQ(shard_endpoint(tcp, 3).tcp_port, 9004);
-
-    const std::vector<Endpoint> fleet = fleet_endpoints(tcp, 4);
-    ASSERT_EQ(fleet.size(), 4u);
-    EXPECT_EQ(fleet[3].tcp_port, 9004);
-
-    // Routing is stable and in range for any shard count.
-    for (unsigned n : {1u, 2u, 3u, 8u}) {
-        for (std::uint64_t fp : {0ull, 1ull, 0xdeadbeefull}) {
-            const unsigned shard = core::route_shard(fp, n);
-            EXPECT_LT(shard, n);
-            EXPECT_EQ(shard, core::route_shard(fp, n));
-        }
-    }
-}
-
 TEST_F(ServeFixture, PipelinedRequestsAnswerInOrderOnOneConnection)
 {
     start();
@@ -1074,4 +886,209 @@ TEST_F(ServeFixture, PipelinedRequestsAnswerInOrderOnOneConnection)
         EXPECT_EQ(parsed.value().find("type")->string_value(), type)
             << "pipelined replies arrived out of request order";
     }
+}
+
+// ------------------------------------------------------- four event loops
+
+namespace {
+
+/** Open @p n connections to @p endpoint, one after another. */
+std::vector<net::Socket>
+open_connections(const Endpoint &endpoint, unsigned n)
+{
+    std::vector<net::Socket> sockets;
+    for (unsigned i = 0; i < n; ++i) {
+        auto socket = connect_endpoint(endpoint);
+        EXPECT_TRUE(socket.has_value()) << socket.status().to_string();
+        if (socket)
+            sockets.push_back(socket.take());
+    }
+    return sockets;
+}
+
+/** Wait until the server's loops own @p expected connections each. */
+bool
+owned_by_loops(const Server &server, std::vector<std::uint64_t> expected)
+{
+    return eventually(
+        [&] { return server.stats().loop_connections == expected; });
+}
+
+RunRequest
+gzip_request(std::uint64_t instructions = 20'000)
+{
+    RunRequest request;
+    request.benchmarks = {"gzip"};
+    request.instructions = instructions;
+    return request;
+}
+
+} // namespace
+
+TEST_F(ServeFixture, FourLoopsShareOneSimulationAndOneResponseBody)
+{
+    // The one simulation waits until every copy has been admitted.
+    Gate gate;
+    ServerConfig config;
+    config.scheduler.before_job = gate.hook();
+    start(config, /*workers=*/4);
+
+    // Connections are dealt to the loops in turn: two per loop.  This
+    // fails when they all land on one loop.
+    std::vector<net::Socket> sockets = open_connections(endpoint, 8);
+    ASSERT_EQ(sockets.size(), 8u);
+    ASSERT_TRUE(owned_by_loops(*server, {2, 2, 2, 2}))
+        << "connections did not spread over the four loops";
+
+    const std::string request = build_run_request(gzip_request());
+    for (net::Socket &socket : sockets)
+        ASSERT_TRUE(send_frame(socket, request).ok());
+    ASSERT_TRUE(eventually([&] {
+        return gate.entered.load() == 1 && server->stats().dedup_hits == 7;
+    }));
+    gate.release();
+
+    std::set<std::string> bodies;
+    for (net::Socket &socket : sockets) {
+        auto frame = recv_frame(socket);
+        ASSERT_TRUE(frame.has_value()) << frame.status().to_string();
+        EXPECT_EQ(response_status(frame.value()), "ok");
+        bodies.insert(frame.value());
+    }
+    EXPECT_EQ(bodies.size(), 1u)
+        << "identical requests answered on different loops differ";
+    const StatsSnapshot stats = server->stats();
+    EXPECT_EQ(stats.sim_runs, 1u);
+    EXPECT_EQ(stats.requests_served, 8u);
+}
+
+TEST_F(ServeFixture, FourLoopsKeepPipelinedRepliesInRequestOrder)
+{
+    Gate gate;
+    ServerConfig config;
+    config.scheduler.before_job = gate.hook();
+    start(config, /*workers=*/4);
+
+    std::vector<net::Socket> sockets = open_connections(endpoint, 4);
+    ASSERT_EQ(sockets.size(), 4u);
+    ASSERT_TRUE(owned_by_loops(*server, {1, 1, 1, 1}));
+
+    // On every loop: ping, run, stats, ping, with no reads between.
+    // The run is held at the gate until all four are admitted, so the
+    // stats and trailing ping replies are ready long before it.
+    for (net::Socket &socket : sockets) {
+        ASSERT_TRUE(send_frame(socket, build_ping_request()).ok());
+        ASSERT_TRUE(
+            send_frame(socket, build_run_request(gzip_request())).ok());
+        ASSERT_TRUE(send_frame(socket, build_stats_request()).ok());
+        ASSERT_TRUE(send_frame(socket, build_ping_request()).ok());
+    }
+    ASSERT_TRUE(eventually([&] {
+        return gate.entered.load() == 1 && server->stats().dedup_hits == 3;
+    }));
+    gate.release();
+
+    const char *expected[] = {"pong", "run", "stats", "pong"};
+    for (std::size_t i = 0; i < sockets.size(); ++i) {
+        for (const char *type : expected) {
+            auto frame = recv_frame(sockets[i]);
+            ASSERT_TRUE(frame.has_value()) << frame.status().to_string();
+            auto parsed = util::json_parse(frame.value());
+            ASSERT_TRUE(parsed.has_value()) << frame.value();
+            EXPECT_EQ(parsed.value().find("status")->string_value(), "ok");
+            EXPECT_EQ(parsed.value().find("type")->string_value(), type)
+                << "loop " << i << " answered out of request order";
+        }
+    }
+}
+
+TEST_F(ServeFixture, FourLoopsAdmitExactlyMaxSessions)
+{
+    ServerConfig config;
+    config.max_sessions = 6;
+    start(config, /*workers=*/4);
+
+    // Twelve connections from four threads at once, so several loops
+    // accept at the same time; every one stays open.
+    std::vector<net::Socket> sockets;
+    std::mutex mutex;
+    std::vector<std::thread> openers;
+    for (unsigned t = 0; t < 4; ++t) {
+        openers.emplace_back([&] {
+            std::vector<net::Socket> mine = open_connections(endpoint, 3);
+            std::lock_guard<std::mutex> lock(mutex);
+            for (net::Socket &socket : mine)
+                sockets.push_back(std::move(socket));
+        });
+    }
+    for (std::thread &opener : openers)
+        opener.join();
+    ASSERT_EQ(sockets.size(), 12u);
+    ASSERT_TRUE(eventually(
+        [&] { return server->stats().sessions_accepted == 12; }));
+
+    unsigned ok = 0;
+    unsigned overloaded = 0;
+    for (net::Socket &socket : sockets) {
+        auto pong = call(socket, build_ping_request());
+        if (pong.has_value())
+            ++ok;
+        else if (pong.status().kind() == util::ErrorKind::Overloaded)
+            ++overloaded;
+        else
+            ADD_FAILURE() << pong.status().to_string();
+    }
+    EXPECT_EQ(ok, 6u);
+    EXPECT_EQ(overloaded, 6u);
+    const StatsSnapshot stats = server->stats();
+    EXPECT_EQ(stats.open_connections, 6u);
+    EXPECT_EQ(stats.rejected_overloaded, 6u);
+    std::uint64_t owned = 0;
+    for (const std::uint64_t connections : stats.loop_connections)
+        owned += connections;
+    EXPECT_EQ(owned, 6u);
+}
+
+TEST_F(ServeFixture, FourLoopsDrainAnswersAdmittedWorkInFlight)
+{
+    Gate gate;
+    ServerConfig config;
+    config.scheduler.before_job = gate.hook();
+    start(config, /*workers=*/4);
+
+    // Five connections, one more on the first loop: four distinct
+    // requests occupy the four workers and the fifth queues.
+    std::vector<net::Socket> sockets = open_connections(endpoint, 5);
+    ASSERT_EQ(sockets.size(), 5u);
+    ASSERT_TRUE(owned_by_loops(*server, {2, 1, 1, 1}));
+    for (std::size_t i = 0; i < sockets.size(); ++i) {
+        ASSERT_TRUE(send_frame(sockets[i], build_run_request(gzip_request(
+                                               20'000 + i)))
+                        .ok());
+    }
+    ASSERT_TRUE(eventually([&] {
+        return gate.entered.load() == 4 && server->stats().queue_depth == 1;
+    }));
+
+    // Drain while all four run: the queued request fails typed, and
+    // the four admitted ones still finish and are answered by the
+    // loops that own their connections.
+    server->request_drain();
+    ASSERT_TRUE(eventually(
+        [&] { return server->stats().rejected_shutting_down == 1; }));
+    gate.release();
+
+    unsigned ok = 0;
+    unsigned shutting_down = 0;
+    for (net::Socket &socket : sockets) {
+        auto frame = recv_frame(socket);
+        ASSERT_TRUE(frame.has_value()) << frame.status().to_string();
+        if (response_status(frame.value()) == "ok")
+            ++ok;
+        else if (response_kind(frame.value()) == "shutting_down")
+            ++shutting_down;
+    }
+    EXPECT_EQ(ok, 4u);
+    EXPECT_EQ(shutting_down, 1u);
+    thread.join(); // serve() itself must return ok (checked there)
 }

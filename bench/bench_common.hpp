@@ -174,9 +174,6 @@ struct BenchReport
         w.key("cache_health").begin_object();
         w.key("store_failures").value(cache_health.store_failures);
         w.key("corrupt_entries").value(cache_health.corrupt_entries);
-        w.key("lock_breaks").value(cache_health.lock_breaks);
-        w.key("lock_timeouts").value(cache_health.lock_timeouts);
-        w.key("lock_retries").value(cache_health.lock_retries);
         w.key("degraded_jobs").value(cache_health.degraded_jobs);
         w.key("degraded").value(cache_health.degraded);
         w.end_object();
@@ -350,7 +347,7 @@ run_suite_reported(const std::vector<std::string> &names,
     }
     report().cache_health.accumulate(outcome.cache);
     if (outcome.cache.degraded || outcome.cache.store_failures ||
-        outcome.cache.corrupt_entries || outcome.cache.lock_timeouts) {
+        outcome.cache.corrupt_entries) {
         report().failures.push_back(BenchReport::Failure{
             "cache", config.cache_dir,
             util::error_kind_name(util::ErrorKind::IoError),
@@ -358,9 +355,7 @@ run_suite_reported(const std::vector<std::string> &names,
                 std::to_string(outcome.cache.store_failures) +
                 " store failures, " +
                 std::to_string(outcome.cache.corrupt_entries) +
-                " corrupt entries, " +
-                std::to_string(outcome.cache.lock_timeouts) +
-                " lock timeouts",
+                " corrupt entries",
             0});
     }
 

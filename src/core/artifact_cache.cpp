@@ -5,22 +5,16 @@
 
 #include "core/artifact_cache.hpp"
 
-#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <thread>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include "interval/interval_histogram.hpp"
 #include "util/binary_io.hpp"
-#include "util/fault_injection.hpp"
 #include "util/fingerprint.hpp"
 #include "util/logging.hpp"
-#include "util/random.hpp"
 
 namespace leakbound::core {
 
@@ -79,36 +73,6 @@ deserialize_observation(util::BinaryReader &r)
         return std::nullopt;
     return obs;
 }
-
-/** Age of the file at @p path; a very large value when unreadable. */
-std::chrono::milliseconds
-file_age(const std::string &path)
-{
-    std::error_code ec;
-    const auto mtime = std::filesystem::last_write_time(path, ec);
-    if (ec)
-        return std::chrono::milliseconds::max();
-    const auto age =
-        std::filesystem::file_time_type::clock::now() - mtime;
-    return std::chrono::duration_cast<std::chrono::milliseconds>(age);
-}
-
-/**
- * Removes the lock file on scope exit, so a simulate() that throws
- * while this process owns the entry lock cannot leave the lock behind
- * to stall every other process until the stale-break age.
- */
-class LockGuard
-{
-  public:
-    explicit LockGuard(std::string path) : path_(std::move(path)) {}
-    ~LockGuard() { std::remove(path_.c_str()); }
-    LockGuard(const LockGuard &) = delete;
-    LockGuard &operator=(const LockGuard &) = delete;
-
-  private:
-    std::string path_;
-};
 
 } // namespace
 
@@ -231,13 +195,7 @@ resolve_cache_dir(const std::string &flag_value)
     return env ? std::string(env) : std::string();
 }
 
-ArtifactCache::ArtifactCache(std::string dir)
-    : ArtifactCache(std::move(dir), LockOptions())
-{
-}
-
-ArtifactCache::ArtifactCache(std::string dir, LockOptions options)
-    : dir_(std::move(dir)), options_(options)
+ArtifactCache::ArtifactCache(std::string dir) : dir_(std::move(dir))
 {
     LEAKBOUND_ASSERT(!dir_.empty(), "artifact cache needs a directory");
 }
@@ -246,28 +204,6 @@ std::string
 ArtifactCache::entry_path(std::uint64_t key) const
 {
     return dir_ + "/" + util::hex64(key) + ".lbx";
-}
-
-std::string
-ArtifactCache::lock_path(std::uint64_t key) const
-{
-    return entry_path(key) + ".lock";
-}
-
-bool
-ArtifactCache::try_lock(const std::string &path) const
-{
-    if (util::fault::should_fail(util::fault::Site::Lock, path))
-        return false;
-    const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0)
-        return false;
-    const std::string pid = std::to_string(::getpid()) + "\n";
-    // The pid is advisory debugging info; a failed write is harmless.
-    [[maybe_unused]] const auto ignored =
-        ::write(fd, pid.data(), pid.size());
-    ::close(fd);
-    return true;
 }
 
 std::optional<ExperimentResult>
@@ -339,9 +275,6 @@ ArtifactCache::health() const
     CacheHealth h;
     h.store_failures = store_failures_.load(std::memory_order_relaxed);
     h.corrupt_entries = corrupt_entries_.load(std::memory_order_relaxed);
-    h.lock_breaks = lock_breaks_.load(std::memory_order_relaxed);
-    h.lock_timeouts = lock_timeouts_.load(std::memory_order_relaxed);
-    h.lock_retries = lock_retries_.load(std::memory_order_relaxed);
     h.degraded_jobs = degraded_jobs_.load(std::memory_order_relaxed);
     h.degraded = degraded_.load(std::memory_order_relaxed);
     return h;
@@ -409,68 +342,16 @@ ArtifactCache::load_or_run(std::uint64_t key, const std::string &workload,
         return std::move(*hit);
     }
 
-    // Miss.  Whoever wins the entry lock simulates and publishes; the
-    // losers wait for the entry instead of duplicating the replay.
-    const std::string lock = lock_path(key);
+    // Miss.  Sharing a directory needs no lock: a concurrent miss of
+    // the same entry simulates it again and renames an identical file
+    // over it.  An uncreatable directory demotes the cache before the
+    // simulation, so this job already counts as degraded.
     std::error_code ec;
-    std::filesystem::create_directories(dir_, ec); // lock needs the dir
+    std::filesystem::create_directories(dir_, ec);
     if (ec) {
         demote("cannot create cache dir " + dir_ + ": " + ec.message());
         degraded_jobs_.fetch_add(1, std::memory_order_relaxed);
         return simulate();
-    }
-
-    // Capped exponential backoff with deterministic jitter: the jitter
-    // stream is seeded from the entry key, so a given contention
-    // pattern replays identically (and two waiters on the same entry
-    // still decorrelate via their different acquisition interleaving).
-    util::Rng jitter(key ^ 0xcac4e10cULL);
-    auto backoff = options_.backoff_initial;
-    const auto wait_start = std::chrono::steady_clock::now();
-    while (!try_lock(lock)) {
-        const auto lock_age = file_age(lock);
-        if (lock_age != std::chrono::milliseconds::max() &&
-            lock_age > options_.stale_age) {
-            lock_breaks_.fetch_add(1, std::memory_order_relaxed);
-            util::warn("breaking stale cache lock: ", lock);
-            std::remove(lock.c_str());
-            continue;
-        }
-        if (std::chrono::steady_clock::now() - wait_start >
-            options_.wait_timeout) {
-            lock_timeouts_.fetch_add(1, std::memory_order_relaxed);
-            util::warn("timed out waiting for cache lock ", lock,
-                       "; simulating ", workload, " without caching");
-            return simulate();
-        }
-        lock_retries_.fetch_add(1, std::memory_order_relaxed);
-        const auto sleep =
-            backoff + std::chrono::milliseconds(jitter.next_below(
-                          static_cast<std::uint64_t>(backoff.count()) / 2 +
-                          1));
-        std::this_thread::sleep_for(sleep);
-        backoff = std::min(backoff * 2, options_.backoff_cap);
-        // The lock holder may have published while we slept.
-        if (auto hit = try_load(key)) {
-            hit->from_cache = true;
-            hit->wall_seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - load_start)
-                    .count();
-            util::inform("cache hit for ", workload, " (",
-                         util::hex64(key), ", waited on writer)");
-            return std::move(*hit);
-        }
-    }
-
-    // We own the lock; the guard releases it even if simulate()
-    // throws, so a dead job can never wedge sibling processes for the
-    // full stale-break age.  Re-probe once (the previous holder may
-    // have published between our miss and the acquire), then simulate.
-    LockGuard guard(lock);
-    if (auto hit = try_load(key)) {
-        hit->from_cache = true;
-        return std::move(*hit);
     }
     ExperimentResult fresh = simulate();
     (void)store(key, fresh); // counted + demotes internally on failure

@@ -19,20 +19,20 @@
  *   u64 payload size | payload | u64 FNV-1a(payload)
  *
  * The payload is the serialized ExperimentResult minus wall_seconds
- * (wall time is reporting-only and never cached).  Entries are written
- * to `<name>.tmp.<pid>` and atomically renamed, guarded by a coarse
- * per-entry `.lock` file so concurrent bench binaries neither tear an
- * entry nor simulate the same benchmark twice.  Any mismatch — magic,
- * version, fingerprint, size, checksum, or a bounds-check inside the
- * payload — discards the entry and re-simulates; a cache entry is
- * never trusted.
+ * (wall time is reporting-only and never cached).  Entries are
+ * published by util::write_file_atomic: a temporary of its own per
+ * call, then one rename, so a reader sees a whole entry or none.  No
+ * lock guards a miss: processes (or threads) that share a directory
+ * and miss the same entry at once may each simulate it once, and each
+ * renames a complete, identical file into place.  Any mismatch —
+ * magic, version, fingerprint, size, checksum, or a bounds-check
+ * inside the payload — discards the entry and re-simulates; a cache
+ * entry is never trusted.
  *
  * Degradation ladder (see CacheHealth): the cache accelerates, it is
  * never load-bearing.  An unwritable directory demotes the whole cache
- * to pass-through (simulate, don't store) with a one-time warning;
- * repeated store failures do the same; a contended lock backs off with
- * capped exponential delay and deterministic jitter, and on timeout
- * the one job simulates without caching.  Every rung is counted and
+ * to pass-through (simulate, don't store) with a one-time warning, and
+ * repeated store failures do the same.  Every rung is counted and
  * surfaced via health().
  */
 
@@ -40,7 +40,6 @@
 #define LEAKBOUND_CORE_ARTIFACT_CACHE_HPP
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <optional>
 #include <string>
@@ -102,40 +101,17 @@ std::string resolve_cache_dir(const std::string &flag_value);
 class ArtifactCache
 {
   public:
-    /** Tunables for the per-entry lock protocol (tests shrink these). */
-    struct LockOptions
-    {
-        /** How long a miss waits for another writer's entry. */
-        std::chrono::milliseconds wait_timeout =
-            std::chrono::seconds(60);
-        /** Locks older than this are presumed dead and broken. */
-        std::chrono::milliseconds stale_age = std::chrono::seconds(120);
-        /** First backoff sleep while waiting on a held lock. */
-        std::chrono::milliseconds backoff_initial{2};
-        /** Backoff ceiling; doubling stops here. */
-        std::chrono::milliseconds backoff_cap{80};
-    };
-
     /** Store failures tolerated before the cache demotes itself. */
     static constexpr std::uint64_t kMaxStoreFailures = 3;
 
     /** @param dir created on first store if missing. */
     explicit ArtifactCache(std::string dir);
 
-    /** As above with explicit lock tunables (tests use tiny ones). */
-    ArtifactCache(std::string dir, LockOptions options);
-
     /**
-     * Load the entry for @p key, or simulate and store it.
-     *
-     * Miss protocol: acquire `<entry>.lock` (O_CREAT|O_EXCL), run
-     * @p simulate, publish tmp-file + rename, release.  If another
-     * process holds the lock, back off exponentially (capped, with
-     * deterministic per-key jitter) until its entry appears (then load
-     * it) or the lock goes stale (break it) or the wait times out
-     * (then simulate locally without storing).  Either way the caller
-     * gets a correct result; the cache only ever changes *where* it
-     * comes from.  The lock is released even when @p simulate throws.
+     * Load the entry for @p key, or simulate and store it: probe,
+     * then on a miss run @p simulate and publish its result.  Either
+     * way the caller gets a correct result; the cache only ever
+     * changes *where* it comes from.
      *
      * @param workload for log messages only.
      */
@@ -170,25 +146,16 @@ class ArtifactCache
     CacheHealth health() const;
 
   private:
-    std::string lock_path(std::uint64_t key) const;
-
-    /** Try to create the lock file; true when this process owns it. */
-    bool try_lock(const std::string &path) const;
-
     /** Demote to pass-through, warning once per cache. */
     void demote(const std::string &why) const;
 
     std::string dir_;
-    LockOptions options_;
 
     // Health accounting; mutable because a const cache (shared across
     // suite threads) still records the trouble it runs into.
     mutable std::atomic<bool> degraded_{false};
     mutable std::atomic<std::uint64_t> store_failures_{0};
     mutable std::atomic<std::uint64_t> corrupt_entries_{0};
-    mutable std::atomic<std::uint64_t> lock_breaks_{0};
-    mutable std::atomic<std::uint64_t> lock_timeouts_{0};
-    mutable std::atomic<std::uint64_t> lock_retries_{0};
     mutable std::atomic<std::uint64_t> degraded_jobs_{0};
 };
 

@@ -3,13 +3,14 @@
  * Health counters for the artifact cache's degradation ladder.
  *
  * The cache is an accelerator, never a correctness dependency: any
- * failure it hits (unwritable directory, corrupt entry, lock timeout)
- * demotes it one rung — retry, then simulate-without-caching, then
- * cache-off-for-the-run — and the suite still produces correct
- * results.  This struct is the accounting for that ladder: every
- * degradation is counted and surfaced in the JSON bench report's
- * "cache_health" object, so a run that silently lost its warm-cache
- * speedup is visible in the report instead of just mysteriously slow.
+ * failure it hits (corrupt entry, failed store, unwritable directory)
+ * demotes it one rung — discard and re-simulate, then
+ * simulate-without-caching, then cache-off-for-the-run — and the
+ * suite still produces correct results.  This struct is the
+ * accounting for that ladder: every degradation is counted and
+ * surfaced in the JSON bench report's "cache_health" object, so a run
+ * that silently lost its warm-cache speedup is visible in the report
+ * instead of just mysteriously slow.
  *
  * Lives in its own header (not artifact_cache.hpp) because both
  * experiment.hpp (SuiteOutcome) and artifact_cache.hpp need it, and
@@ -30,12 +31,6 @@ struct CacheHealth
     std::uint64_t store_failures = 0;
     /** Entries discarded for magic/version/checksum/decode mismatch. */
     std::uint64_t corrupt_entries = 0;
-    /** Stale locks broken (holder presumed dead). */
-    std::uint64_t lock_breaks = 0;
-    /** Lock waits that timed out (job simulated without caching). */
-    std::uint64_t lock_timeouts = 0;
-    /** Backoff sleeps while waiting on another writer's lock. */
-    std::uint64_t lock_retries = 0;
     /** Jobs that ran with the cache demoted to pass-through. */
     std::uint64_t degraded_jobs = 0;
     /** Whether the cache finished the run demoted to pass-through. */
@@ -47,9 +42,6 @@ struct CacheHealth
     {
         store_failures += other.store_failures;
         corrupt_entries += other.corrupt_entries;
-        lock_breaks += other.lock_breaks;
-        lock_timeouts += other.lock_timeouts;
-        lock_retries += other.lock_retries;
         degraded_jobs += other.degraded_jobs;
         degraded = degraded || other.degraded;
     }
@@ -58,8 +50,8 @@ struct CacheHealth
     bool
     any() const
     {
-        return store_failures || corrupt_entries || lock_breaks ||
-               lock_timeouts || lock_retries || degraded_jobs || degraded;
+        return store_failures || corrupt_entries || degraded_jobs ||
+               degraded;
     }
 };
 

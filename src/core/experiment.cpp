@@ -168,7 +168,6 @@ bool
 retryable(util::ErrorKind kind)
 {
     return kind == util::ErrorKind::IoError ||
-           kind == util::ErrorKind::LockTimeout ||
            kind == util::ErrorKind::FaultInjected;
 }
 
@@ -264,8 +263,7 @@ run_suite_isolated(const std::vector<std::string> &names,
         // Collecting futures in submission order makes the merge
         // deterministic: the output is bit-identical to the serial
         // loop for any jobs value.  Cache probes run inside the
-        // workers too — distinct benchmarks map to distinct entries,
-        // so the per-entry lock files never contend within one suite.
+        // workers too — distinct benchmarks map to distinct entries.
         // Names are validated on this thread first: an unknown
         // benchmark is a user error (fatal) and should die before any
         // worker spawns, exactly like the serial path.

@@ -246,7 +246,7 @@ inline constexpr unsigned kMaxJobRetries = 2;
  * Fault-isolated run_suite: one job failing (exception, injected
  * fault, interrupt) is recorded in the outcome instead of killing the
  * run, and every sibling job still completes and lands in its slot.
- * Transient failures (io_error, lock_timeout, fault_injected) retry up
+ * Transient failures (io_error, fault_injected) retry up
  * to kMaxJobRetries times before being recorded.  After SIGINT or
  * SIGTERM no new job starts; jobs not yet dispatched are recorded as
  * `interrupted` failures and the outcome is flagged.

@@ -15,9 +15,9 @@
 
 #include "core/suite_flags.hpp"
 #include "serve/client.hpp"
+#include "util/binary_io.hpp"
 #include "util/cli.hpp"
 #include "util/interrupt.hpp"
-#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/string_utils.hpp"
 #include "workload/spec_suite.hpp"
@@ -46,7 +46,7 @@ emit_response(const std::string &raw, const util::Cli &cli)
     std::printf("%s\n", raw.c_str());
     const std::string path = cli.get("json");
     if (!path.empty()) {
-        if (util::Status wrote = util::write_text_file(path, raw + "\n");
+        if (util::Status wrote = util::write_file_atomic(path, raw + "\n");
             !wrote.ok())
             util::warn("cannot mirror response: ", wrote.to_string());
     }
@@ -98,10 +98,8 @@ main(int argc, char **argv)
                  "fire N identical run requests instead of one", "0");
     cli.add_flag("concurrency", "client threads for --load", "4");
     cli.add_flag("connections",
-                 "open N extra connections before the load loop", "0");
-    cli.add_flag("idle",
-                 "hold the --connections sockets open but idle for the "
-                 "whole run (the 10k-connection scenario)",
+                 "hold N extra connections open but idle for the whole "
+                 "--load run (the 10k-connection scenario)",
                  "0");
     cli.add_flag("rate",
                  "open-loop arrival rate in req/s for --load "
@@ -185,9 +183,8 @@ main(int argc, char **argv)
         static_cast<double>(cli.get_u64("rate"));
     options.persistent = cli.get_bool("persistent");
     options.pipeline = static_cast<unsigned>(cli.get_u64("pipeline"));
-    if (cli.get_bool("idle"))
-        options.idle_connections =
-            static_cast<unsigned>(cli.get_u64("connections"));
+    options.idle_connections =
+        static_cast<unsigned>(cli.get_u64("connections"));
     const serve::LoadReport report =
         serve::run_load(endpoint, request, options);
     std::printf(

@@ -181,7 +181,6 @@ render_stats(const StatsSnapshot &stats)
     w.end_array();
     w.key("queue_depth").value(stats.queue_depth);
     w.key("running").value(stats.running);
-    w.key("locks_broken").value(stats.locks_broken);
     w.key("latency_p50_ms").value(stats.latency_p50_ms);
     w.key("latency_p99_ms").value(stats.latency_p99_ms);
     w.key("uptime_seconds").value(stats.uptime_seconds);
@@ -261,9 +260,6 @@ render_run_response(const core::SuiteOutcome &outcome,
     w.key("cache_health").begin_object();
     w.key("store_failures").value(outcome.cache.store_failures);
     w.key("corrupt_entries").value(outcome.cache.corrupt_entries);
-    w.key("lock_breaks").value(outcome.cache.lock_breaks);
-    w.key("lock_timeouts").value(outcome.cache.lock_timeouts);
-    w.key("lock_retries").value(outcome.cache.lock_retries);
     w.key("degraded_jobs").value(outcome.cache.degraded_jobs);
     w.key("degraded").value(outcome.cache.degraded);
     w.end_object();

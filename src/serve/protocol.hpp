@@ -102,7 +102,6 @@ struct StatsSnapshot
     std::vector<std::uint64_t> loop_connections;
     std::uint64_t queue_depth = 0;       ///< requests admitted, not started
     std::uint64_t running = 0;           ///< suites executing right now
-    std::uint64_t locks_broken = 0;      ///< stale cache locks broken (crash hygiene)
     double latency_p50_ms = 0.0;         ///< over served run requests
     double latency_p99_ms = 0.0;
     double uptime_seconds = 0.0;

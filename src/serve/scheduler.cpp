@@ -260,10 +260,6 @@ Scheduler::execute(const core::ExperimentRequest &request,
             std::lock_guard<std::mutex> lock(mutex_);
             counters_.cache_hits += loaded;
             counters_.sim_runs += simulated;
-            // Crash hygiene: a process SIGKILLed mid-store leaves a
-            // stale .lock behind; the breaker count surfacing here is
-            // how an operator sees the cache healing itself.
-            counters_.locks_broken += outcome.cache.lock_breaks;
         }
         // Only flawless outcomes are worth pinning in the LRU: a
         // degraded or partially-failed response must not outlive the

@@ -108,7 +108,6 @@ struct SchedulerCounters
     std::uint64_t rejected_overloaded = 0; ///< queue-bound rejections
     std::uint64_t rejected_deadline = 0;   ///< deadline-shed rejections
     std::uint64_t rejected_shutting_down = 0;
-    std::uint64_t locks_broken = 0; ///< stale cache locks broken mid-suite
     std::uint64_t queue_depth = 0;  ///< instantaneous: admitted, waiting
     std::uint64_t running = 0;      ///< instantaneous: executing now
     std::uint64_t response_lru_entries = 0; ///< instantaneous: cached responses

@@ -40,6 +40,8 @@ append_frame_header(std::string &out, std::size_t size)
 
 } // namespace
 
+thread_local const Server::Loop *Server::running_loop_ = nullptr;
+
 Server::Server(ServerConfig config) : config_(std::move(config))
 {
     scheduler_ = std::make_unique<Scheduler>(config_.scheduler);
@@ -189,6 +191,7 @@ Server::serve()
 util::Status
 Server::run_loop(Loop &loop)
 {
+    running_loop_ = &loop;
     util::Status verdict;
     while (!drain_requested_.load() && !util::interrupt_requested()) {
         auto waited = loop.epoll.wait(loop.events, config_.poll_interval_ms);
@@ -232,6 +235,7 @@ Server::run_loop(Loop &loop)
         // dispatch (LRU hits, rejections).
         drain_inbox(loop);
     }
+    running_loop_ = nullptr;
     // Whatever stopped this loop (drain, signal, failure) stops them all.
     request_drain();
     return verdict;
@@ -620,7 +624,10 @@ Server::queue_completion(Loop &loop, std::uint64_t connection_id,
         loop.completions.push_back(
             PendingCompletion{connection_id, seq, std::move(response)});
     }
-    loop.wakeup.signal();
+    // An answer dispatch gave on the owner loop itself (LRU hit,
+    // rejection) is delivered by the drain_inbox ending this batch.
+    if (running_loop_ != &loop)
+        loop.wakeup.signal();
 }
 
 void
@@ -634,21 +641,28 @@ Server::drain_inbox(Loop &loop)
     }
     for (Arrival &arrival : arrivals)
         adopt(loop, std::move(arrival));
+    // Mark the whole batch ready first, then flush each connection it
+    // answered once: N pipelined answers cost one write, not N.
+    loop.touched.clear();
     for (PendingCompletion &completion : loop.batch) {
         auto it = loop.connections.find(completion.connection_id);
         if (it == loop.connections.end())
             continue; // the client vanished; the response is moot
-        Connection *connection = it->second.get();
-        for (Reply &reply : connection->replies) {
+        for (Reply &reply : it->second->replies) {
             if (reply.seq == completion.seq) {
                 reply.frame = std::move(completion.response);
                 reply.ready = true;
                 break;
             }
         }
-        flush_writes(connection);
+        loop.touched.push_back(completion.connection_id);
     }
     loop.batch.clear();
+    std::sort(loop.touched.begin(), loop.touched.end());
+    loop.touched.erase(std::unique(loop.touched.begin(), loop.touched.end()),
+                       loop.touched.end());
+    for (const std::uint64_t id : loop.touched)
+        flush_writes(loop.connections.at(id).get());
 }
 
 void
@@ -721,7 +735,6 @@ Server::stats() const
     snapshot.rejected_shutting_down = counters.rejected_shutting_down;
     snapshot.queue_depth = counters.queue_depth;
     snapshot.running = counters.running;
-    snapshot.locks_broken = counters.locks_broken;
     snapshot.open_connections = live_connections_.load();
     for (const std::unique_ptr<Loop> &loop : loops_)
         snapshot.loop_connections.push_back(loop->live.load());

@@ -178,6 +178,8 @@ class Server
         std::vector<Arrival> arrivals;
         /** Completions being delivered; swapped with `completions`. */
         std::vector<PendingCompletion> batch;
+        /** Connections `batch` answered, each flushed once after it. */
+        std::vector<std::uint64_t> touched;
     };
 
     /** Run @p body on every loop at once (loop 0 on this thread). */
@@ -202,7 +204,11 @@ class Server
     void destroy(Connection *connection);
     /** Adopt dealt connections and deliver completions to @p loop's. */
     void drain_inbox(Loop &loop);
-    /** Thread-safe: workers (or the loop) post a finished response. */
+    /**
+     * Thread-safe: workers (or the loop) post a finished response.
+     * Kicks @p loop's eventfd unless called from inside that loop's
+     * own run_loop, which drains its inbox after every event batch.
+     */
     void queue_completion(Loop &loop, std::uint64_t connection_id,
                           std::uint64_t seq,
                           std::shared_ptr<const std::string> response);
@@ -221,6 +227,8 @@ class Server
     std::chrono::steady_clock::time_point started_at_;
 
     std::vector<std::unique_ptr<Loop>> loops_;
+    /** The loop whose run_loop this thread is inside, else null. */
+    static thread_local const Loop *running_loop_;
     /** Accepted connections so far; deals them to loops in turn. */
     std::atomic<std::uint64_t> dealt_{0};
     /** Live (non-shed) connections over all loops: max_sessions gate. */

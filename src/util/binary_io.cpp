@@ -5,6 +5,7 @@
 
 #include "util/binary_io.hpp"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 
@@ -150,8 +151,12 @@ BinaryReader::get_u64_vector()
 Status
 write_file_atomic(const std::string &path, const std::string &contents)
 {
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
+    // Every call writes a temporary of its own, so concurrent writers
+    // of one path (threads or processes) never share one: each renames
+    // its own complete file into place.
+    static std::atomic<std::uint64_t> next_tmp{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(next_tmp.fetch_add(1));
     std::FILE *file = fault::should_fail(fault::Site::OpenWrite, path)
                           ? nullptr
                           : std::fopen(tmp.c_str(), "wb");

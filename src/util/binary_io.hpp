@@ -106,11 +106,14 @@ class BinaryReader
 };
 
 /**
- * Write @p contents to @p path atomically: write `<path>.tmp.<pid>`,
- * fsync, rename over @p path, then fsync the containing directory so
- * the publication itself survives power loss.  Readers of @p path
- * therefore see either the old or the new contents, never a torn mix,
- * and a "published" entry cannot silently vanish on crash.  Never fatal:
+ * Write @p contents to @p path atomically: write `<path>.tmp.<pid>.<n>`
+ * (n counts this process's calls, so every call, from any thread, has
+ * a temporary of its own), fsync, rename over @p path, then fsync the
+ * containing directory so the publication itself survives power loss.
+ * Readers of @p path therefore see either the old or the new contents,
+ * never a torn mix; concurrent writers of one path each publish a
+ * whole file, and the last rename wins.  A "published" entry cannot
+ * silently vanish on crash.  Never fatal:
  * the temporary is cleaned up and an ErrorKind::IoError Status
  * describes what failed, so callers choose between degrading (cache
  * store), recording the failure (report flush), and dying (CLI-level

@@ -20,7 +20,7 @@
  *   site[@match]=rate[,site[@match]=rate...]
  *
  * where `site` is one of open_read, open_write, short_write, enospc,
- * rename_torn, lock, simulate, net_accept, net_read, net_write,
+ * rename_torn, simulate, net_accept, net_read, net_write,
  * net_short_write, directory; `rate` is a fault probability
  * in [0, 1]; and the optional `@match` restricts the rule to probes
  * whose tag (usually a path, workload name or multicore mix label)
@@ -50,7 +50,6 @@ enum class Site : std::uint8_t {
     ShortWrite, ///< a buffered write is truncated
     Enospc,     ///< flush/fsync fails as if the disk filled up
     RenameTorn, ///< atomic publish tears: half the bytes land, tmp lost
-    Lock,       ///< lock acquisition reports contention
     Simulate,   ///< a suite job dies mid-simulation
     NetAccept,  ///< accepting a client connection fails
     NetRead,    ///< a socket read fails as if the peer vanished
@@ -59,7 +58,7 @@ enum class Site : std::uint8_t {
     Directory,  ///< a multicore run flips one mirrored L1D tag at finalize
 };
 
-inline constexpr std::size_t kNumFaultSites = 12;
+inline constexpr std::size_t kNumFaultSites = 11;
 
 /** The spec-string name of @p site ("open_read", ...). */
 constexpr const char *
@@ -71,7 +70,6 @@ site_name(Site site)
       case Site::ShortWrite: return "short_write";
       case Site::Enospc: return "enospc";
       case Site::RenameTorn: return "rename_torn";
-      case Site::Lock: return "lock";
       case Site::Simulate: return "simulate";
       case Site::NetAccept: return "net_accept";
       case Site::NetRead: return "net_read";

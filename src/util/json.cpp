@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/fault_injection.hpp"
 #include "util/logging.hpp"
 
 namespace leakbound::util {
@@ -644,24 +643,6 @@ Expected<JsonValue>
 json_parse(std::string_view text)
 {
     return JsonParser(text).parse_document();
-}
-
-Status
-write_text_file(const std::string &path, const std::string &contents)
-{
-    std::FILE *file = fault::should_fail(fault::Site::OpenWrite, path)
-                          ? nullptr
-                          : std::fopen(path.c_str(), "wb");
-    if (!file)
-        return Status(ErrorKind::IoError, "cannot create file: " + path);
-    bool wrote = std::fwrite(contents.data(), 1, contents.size(), file) ==
-                 contents.size();
-    if (wrote && fault::should_fail(fault::Site::ShortWrite, path))
-        wrote = false;
-    std::fclose(file);
-    if (!wrote)
-        return Status(ErrorKind::IoError, "short write to " + path);
-    return Status();
 }
 
 } // namespace leakbound::util

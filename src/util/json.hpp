@@ -84,14 +84,6 @@ class JsonWriter
 };
 
 /**
- * Write @p contents to @p path atomically enough for reports (truncate
- * + write + close).  Returns an ErrorKind::IoError Status on create or
- * short-write failure so report emission can degrade instead of dying.
- */
-Status write_text_file(const std::string &path,
-                       const std::string &contents);
-
-/**
  * A parsed JSON document node.  The serve protocol receives requests
  * as length-prefixed JSON frames; this is the read side of the
  * JsonWriter above — small, strict, and defensive (depth-capped,

@@ -386,14 +386,14 @@ Epoll::modify(int fd, std::uint64_t tag, bool want_read, bool want_write,
 }
 
 Expected<std::size_t>
-Epoll::wait(std::vector<EpollEvent> &out, int timeout_ms,
-            std::size_t max_events)
+Epoll::wait(std::vector<EpollEvent> &out, int timeout_ms)
 {
     out.clear();
-    std::vector<epoll_event> events(max_events);
-    const int n = ::epoll_wait(fd_, events.data(),
-                               static_cast<int>(events.size()),
-                               timeout_ms);
+    // A stack array, not a vector: this runs on every turn of every
+    // event loop, and epoll_wait fills only what it reports.
+    constexpr int kMaxEvents = 256;
+    epoll_event events[kMaxEvents];
+    const int n = ::epoll_wait(fd_, events, kMaxEvents, timeout_ms);
     if (n < 0) {
         if (errno == EINTR)
             return std::size_t{0};
@@ -402,9 +402,8 @@ Epoll::wait(std::vector<EpollEvent> &out, int timeout_ms,
     out.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
         EpollEvent event;
-        event.tag = events[static_cast<std::size_t>(i)].data.u64;
-        const std::uint32_t mask =
-            events[static_cast<std::size_t>(i)].events;
+        event.tag = events[i].data.u64;
+        const std::uint32_t mask = events[i].events;
         event.readable = (mask & EPOLLIN) != 0;
         event.writable = (mask & EPOLLOUT) != 0;
         event.error = (mask & EPOLLERR) != 0;

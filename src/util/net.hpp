@@ -193,11 +193,11 @@ class Epoll
                   bool want_write, bool edge_triggered = true);
 
     /**
-     * Wait up to @p timeout_ms, filling @p out (cleared first).
-     * Returns the event count; 0 on timeout or EINTR.
+     * Wait up to @p timeout_ms, filling @p out (cleared first) with at
+     * most 256 events.  Returns the event count; 0 on timeout or EINTR.
      */
     Expected<std::size_t> wait(std::vector<EpollEvent> &out,
-                               int timeout_ms, std::size_t max_events = 256);
+                               int timeout_ms);
 
   private:
     Status control(int op, int fd, std::uint64_t tag, bool want_read,

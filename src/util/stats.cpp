@@ -1,15 +1,12 @@
 /**
  * @file
- * Implementation of statistics accumulators and stat groups.
+ * Implementation of the statistics accumulators.
  */
 
 #include "util/stats.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "util/logging.hpp"
 
 namespace leakbound::util {
 
@@ -114,68 +111,6 @@ double
 Accumulator::stddev() const
 {
     return std::sqrt(variance());
-}
-
-std::size_t
-StatGroup::add(std::string name, std::string desc)
-{
-    for (std::size_t i = 0; i < stats_.size(); ++i) {
-        if (stats_[i].name == name)
-            return i;
-    }
-    stats_.push_back(Stat{std::move(name), std::move(desc), 0.0});
-    return stats_.size() - 1;
-}
-
-void
-StatGroup::inc(std::size_t idx, double delta)
-{
-    LEAKBOUND_ASSERT(idx < stats_.size(), "stat index out of range");
-    stats_[idx].value += delta;
-}
-
-void
-StatGroup::set(std::size_t idx, double value)
-{
-    LEAKBOUND_ASSERT(idx < stats_.size(), "stat index out of range");
-    stats_[idx].value = value;
-}
-
-double
-StatGroup::get(std::size_t idx) const
-{
-    LEAKBOUND_ASSERT(idx < stats_.size(), "stat index out of range");
-    return stats_[idx].value;
-}
-
-const Stat *
-StatGroup::find(const std::string &name) const
-{
-    for (const auto &s : stats_) {
-        if (s.name == name)
-            return &s;
-    }
-    return nullptr;
-}
-
-std::string
-StatGroup::dump() const
-{
-    std::ostringstream os;
-    for (const auto &s : stats_) {
-        os << s.name;
-        for (std::size_t pad = s.name.size(); pad < 40; ++pad)
-            os << ' ';
-        os << s.value << "  # " << s.desc << '\n';
-    }
-    return os.str();
-}
-
-void
-StatGroup::reset_values()
-{
-    for (auto &s : stats_)
-        s.value = 0.0;
 }
 
 } // namespace leakbound::util

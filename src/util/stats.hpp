@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics accumulators used by the simulator and the
- * experiment harness: scalar counters, running mean/variance (Welford),
- * and named stat groups that can be dumped as text.
+ * Lightweight statistics accumulators used by the experiment harness
+ * and the daemon: running mean/variance (Welford) and a bounded
+ * latency sample with percentiles.
  */
 
 #ifndef LEAKBOUND_UTIL_STATS_HPP
@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace leakbound::util {
@@ -109,53 +107,6 @@ class LatencyRecorder
     std::uint64_t stride_ = 1; ///< keep every stride_-th observation
     std::vector<double> samples_;
     Accumulator summary_;
-};
-
-/**
- * A named scalar statistic inside a StatGroup.  Values are stored as
- * doubles; integer counters round-trip exactly below 2^53.
- */
-struct Stat
-{
-    std::string name;   ///< dotted hierarchical name, e.g. "l1d.misses"
-    std::string desc;   ///< one-line human description
-    double value = 0.0; ///< current value
-};
-
-/**
- * An ordered collection of named statistics, gem5-stats-file flavored.
- * Components register stats up front and bump them during simulation;
- * the harness dumps them after a run.
- */
-class StatGroup
-{
-  public:
-    /** Create (or fetch, if already present) a named stat. @return index */
-    std::size_t add(std::string name, std::string desc);
-
-    /** Increment stat @p idx by @p delta. */
-    void inc(std::size_t idx, double delta = 1.0);
-
-    /** Overwrite stat @p idx. */
-    void set(std::size_t idx, double value);
-
-    /** Value of stat @p idx. */
-    double get(std::size_t idx) const;
-
-    /** Look up a stat by name; returns nullptr if absent. */
-    const Stat *find(const std::string &name) const;
-
-    /** All stats in registration order. */
-    const std::vector<Stat> &all() const { return stats_; }
-
-    /** Render as "name  value  # desc" lines, gem5 stats style. */
-    std::string dump() const;
-
-    /** Reset every value to zero (definitions are kept). */
-    void reset_values();
-
-  private:
-    std::vector<Stat> stats_;
 };
 
 } // namespace leakbound::util

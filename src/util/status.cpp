@@ -15,7 +15,6 @@ error_kind_name(ErrorKind kind)
       case ErrorKind::IoError: return "io_error";
       case ErrorKind::NotFound: return "not_found";
       case ErrorKind::CorruptData: return "corrupt_data";
-      case ErrorKind::LockTimeout: return "lock_timeout";
       case ErrorKind::Interrupted: return "interrupted";
       case ErrorKind::InvalidArgument: return "invalid_argument";
       case ErrorKind::FaultInjected: return "fault_injected";
@@ -31,12 +30,12 @@ std::optional<ErrorKind>
 error_kind_from_name(std::string_view name)
 {
     static constexpr ErrorKind kAll[] = {
-        ErrorKind::None,           ErrorKind::IoError,
-        ErrorKind::NotFound,       ErrorKind::CorruptData,
-        ErrorKind::LockTimeout,    ErrorKind::Interrupted,
-        ErrorKind::InvalidArgument, ErrorKind::FaultInjected,
-        ErrorKind::Internal,       ErrorKind::Overloaded,
-        ErrorKind::ShuttingDown,   ErrorKind::ConnectionClosed,
+        ErrorKind::None,            ErrorKind::IoError,
+        ErrorKind::NotFound,        ErrorKind::CorruptData,
+        ErrorKind::Interrupted,     ErrorKind::InvalidArgument,
+        ErrorKind::FaultInjected,   ErrorKind::Internal,
+        ErrorKind::Overloaded,      ErrorKind::ShuttingDown,
+        ErrorKind::ConnectionClosed,
     };
     for (ErrorKind kind : kAll)
         if (name == error_kind_name(kind))

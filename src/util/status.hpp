@@ -5,8 +5,8 @@
  * The severity ladder (see util/logging.hpp) handles the two extremes:
  * panic() for internal invariant violations (abort) and fatal() for
  * user errors at the process boundary (exit 2).  Everything in between
- * — a corrupt cache entry, an unwritable report path, a lock-wait
- * timeout — is *recoverable* by some caller up the stack and must not
+ * — a corrupt cache entry, an unwritable report path, a dropped
+ * connection — is *recoverable* by some caller up the stack and must not
  * kill the process from library code.  Those paths return a Status (or
  * an Expected<T> when there is a payload), and the suite runner turns
  * surviving failures into entries of the JSON report's "failures"
@@ -41,7 +41,6 @@ enum class ErrorKind : std::uint8_t {
     IoError,         ///< open/write/flush/rename failed (possibly transient)
     NotFound,        ///< a path that simply is not there
     CorruptData,     ///< checksum/magic/bounds validation failed
-    LockTimeout,     ///< gave up waiting on another writer's lock
     Interrupted,     ///< SIGINT/SIGTERM observed (see util/interrupt.hpp)
     InvalidArgument, ///< the caller asked for something impossible
     FaultInjected,   ///< a util::fault seam fired (chaos builds only)

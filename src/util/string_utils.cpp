@@ -43,19 +43,6 @@ format_commas(std::uint64_t value)
     return out;
 }
 
-std::string
-format_bytes(std::uint64_t bytes)
-{
-    static const char *suffixes[] = {"B", "KiB", "MiB", "GiB", "TiB"};
-    std::size_t idx = 0;
-    std::uint64_t value = bytes;
-    while (value >= 1024 && value % 1024 == 0 && idx + 1 < 5) {
-        value /= 1024;
-        ++idx;
-    }
-    return std::to_string(value) + suffixes[idx];
-}
-
 std::vector<std::string>
 split(std::string_view text, char sep)
 {

@@ -24,9 +24,6 @@ std::string format_fixed(double value, int decimals);
 /** Format an integer with thousands separators, e.g. "103,084". */
 std::string format_commas(std::uint64_t value);
 
-/** Format a byte count with a binary suffix, e.g. "64KiB". */
-std::string format_bytes(std::uint64_t bytes);
-
 /** Split @p text on @p sep; empty fields are preserved. */
 std::vector<std::string> split(std::string_view text, char sep);
 

@@ -2,14 +2,14 @@
  * @file
  * Tests of the persistent artifact cache (core/artifact_cache.hpp):
  * serialization round-trip fuzz, fingerprint sensitivity to every
- * config field, corrupt/truncated-entry recovery, the lock protocol,
- * and cold-vs-warm run_suite byte-identity.
+ * config field, corrupt/truncated-entry recovery, concurrent
+ * publication of one entry, and cold-vs-warm run_suite byte-identity.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <csignal>
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -18,10 +18,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "core/artifact_cache.hpp"
 #include "core/experiment.hpp"
@@ -42,6 +38,24 @@ fresh_cache_dir(const char *name)
     const std::string dir = ::testing::TempDir() + name;
     fs::remove_all(dir);
     return dir;
+}
+
+/** Names of the files in @p dir, sorted. */
+std::vector<std::string>
+file_names(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const fs::directory_entry &entry : fs::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/** File name of @p key's entry in @p cache. */
+std::string
+entry_name(const ArtifactCache &cache, std::uint64_t key)
+{
+    return fs::path(cache.entry_path(key)).filename().string();
 }
 
 ExperimentConfig
@@ -382,115 +396,63 @@ TEST(ArtifactCache, LoadOrRunMissSimulatesHitLoads)
     EXPECT_EQ(simulations, 1) << "hit must not simulate";
     EXPECT_TRUE(warm.from_cache);
     EXPECT_EQ(serialize_result(warm), serialize_result(cold));
-    // The lock is released either way.
-    EXPECT_FALSE(fs::exists(cache.entry_path(key) + ".lock"));
+    // The miss left the entry and nothing else behind.
+    EXPECT_EQ(file_names(dir),
+              std::vector<std::string>{entry_name(cache, key)});
     fs::remove_all(dir);
 }
 
-TEST(ArtifactCache, StaleLockIsBroken)
+TEST(ArtifactCache, ConcurrentStoresOfOneKeyPublishOneEntry)
 {
-    const std::string dir = fresh_cache_dir("lb_cache_stale");
-    ArtifactCache::LockOptions options;
-    options.wait_timeout = std::chrono::milliseconds(2'000);
-    options.stale_age = std::chrono::milliseconds(0); // everything stale
-    ArtifactCache cache(dir, options);
-    const std::uint64_t key = 7;
+    // Threads (or processes) sharing a directory may miss and publish
+    // the same entry at once.  Each write goes through a temporary of
+    // its own, so every store succeeds and the entry is always whole.
+    const std::string dir = fresh_cache_dir("lb_cache_concurrent");
+    ArtifactCache cache(dir);
+    const std::uint64_t key = fingerprint_experiment("gzip", small_config());
+    const std::string want = serialize_result(sample_result());
 
-    fs::create_directories(dir);
-    { std::ofstream lock(cache.entry_path(key) + ".lock"); }
-    const ExperimentResult result =
-        cache.load_or_run(key, "gzip", [] { return sample_result(); });
-    EXPECT_FALSE(result.from_cache);
-    // The dead writer's lock was broken, the entry published, ours
-    // released.
-    EXPECT_TRUE(fs::exists(cache.entry_path(key)));
-    EXPECT_FALSE(fs::exists(cache.entry_path(key) + ".lock"));
-    EXPECT_GE(cache.health().lock_breaks, 1u);
-    EXPECT_EQ(cache.health().lock_timeouts, 0u);
-    fs::remove_all(dir);
-}
-
-TEST(ArtifactCache, LockHeldBySigkilledProcessIsBrokenAndCounted)
-{
-    // The crash-hygiene case: a process (a daemon, a bench binary) that
-    // acquired an entry lock and was then SIGKILLed leaves its `.lock`
-    // behind with no process to release it.  Survivors must break the
-    // stale lock (counted — CacheHealth::lock_breaks feeds the
-    // daemon's /stats `locks_broken`), simulate, publish, and release,
-    // with zero degradation.
-    const std::string dir = fresh_cache_dir("lb_cache_sigkill");
-    fs::create_directories(dir);
-    ArtifactCache::LockOptions options;
-    options.wait_timeout = std::chrono::milliseconds(10'000);
-    options.stale_age = std::chrono::milliseconds(100);
-    ArtifactCache cache(dir, options);
-    const std::uint64_t key = 11;
-    const std::string lock = cache.entry_path(key) + ".lock";
-
-    // The doomed writer takes the lock exactly as a real one would
-    // (O_CREAT | O_EXCL), then parks until killed.  Only
-    // async-signal-safe calls after fork().
-    std::fflush(stdout);
-    std::fflush(stderr);
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        const int fd =
-            ::open(lock.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-        if (fd < 0)
-            ::_exit(3);
-        for (;;)
-            ::pause();
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 50;
+    std::atomic<int> failed_stores{0};
+    std::atomic<int> wrong_results{0};
+    std::atomic<int> misses{0};
+    for (int round = 0; round < kRounds; ++round) {
+        fs::remove_all(dir); // every round starts cold
+        std::atomic<int> ready{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&] {
+                ++ready;
+                while (ready.load() < kThreads)
+                    std::this_thread::yield();
+                const ExperimentResult got = cache.load_or_run(
+                    key, "gzip", [] { return sample_result(); });
+                if (!got.from_cache)
+                    ++misses;
+                if (serialize_result(got) != want)
+                    ++wrong_results;
+                if (!cache.store(key, sample_result()).ok())
+                    ++failed_stores;
+            });
+        }
+        for (std::thread &thread : threads)
+            thread.join();
     }
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!fs::exists(lock) &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    ASSERT_TRUE(fs::exists(lock)) << "lock holder never started";
-    ASSERT_EQ(::kill(pid, SIGKILL), 0);
-    ASSERT_EQ(::waitpid(pid, nullptr, 0), pid);
-
-    // Age the orphaned lock past stale_age, then miss into it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    const ExperimentResult result =
-        cache.load_or_run(key, "gzip", [] { return sample_result(); });
-    EXPECT_FALSE(result.from_cache);
-    EXPECT_EQ(serialize_result(result),
-              serialize_result(sample_result()));
-    EXPECT_TRUE(fs::exists(cache.entry_path(key)))
-        << "recovery must still publish the entry";
-    EXPECT_FALSE(fs::exists(lock));
-    EXPECT_GE(cache.health().lock_breaks, 1u);
-    EXPECT_EQ(cache.health().lock_timeouts, 0u);
+    EXPECT_EQ(failed_stores.load(), 0);
+    EXPECT_EQ(wrong_results.load(), 0);
+    // The first probe of a round precedes every store of it.
+    EXPECT_GE(misses.load(), kRounds);
+    EXPECT_EQ(cache.health().store_failures, 0u);
+    EXPECT_EQ(cache.health().corrupt_entries, 0u);
     EXPECT_FALSE(cache.degraded());
-    fs::remove_all(dir);
-}
 
-TEST(ArtifactCache, HeldLockTimesOutWithoutStoring)
-{
-    const std::string dir = fresh_cache_dir("lb_cache_held");
-    ArtifactCache::LockOptions options;
-    options.wait_timeout = std::chrono::milliseconds(50);
-    options.stale_age = std::chrono::hours(1); // never stale
-    ArtifactCache cache(dir, options);
-    const std::uint64_t key = 9;
-
-    fs::create_directories(dir);
-    { std::ofstream lock(cache.entry_path(key) + ".lock"); }
-    const ExperimentResult result =
-        cache.load_or_run(key, "gzip", [] { return sample_result(); });
-    // Correct result anyway, but nothing published and the foreign
-    // lock left alone.
-    EXPECT_FALSE(result.from_cache);
-    EXPECT_EQ(serialize_result(result), serialize_result(sample_result()));
-    EXPECT_FALSE(fs::exists(cache.entry_path(key)));
-    EXPECT_TRUE(fs::exists(cache.entry_path(key) + ".lock"));
-    // The wait was counted (with its retries) but did not demote the
-    // cache: lock contention is per-entry, not a dead backing store.
-    EXPECT_EQ(cache.health().lock_timeouts, 1u);
-    EXPECT_GE(cache.health().lock_retries, 1u);
-    EXPECT_FALSE(cache.degraded());
+    auto loaded = cache.try_load(key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(serialize_result(*loaded), want);
+    // No temporary outlived its rename.
+    EXPECT_EQ(file_names(dir),
+              std::vector<std::string>{entry_name(cache, key)});
     fs::remove_all(dir);
 }
 

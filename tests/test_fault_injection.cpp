@@ -98,11 +98,11 @@ TEST_F(FaultInjection, RateBoundsAndSiteSelectionAreExact)
         EXPECT_TRUE(fault::should_fail(fault::Site::OpenRead));
         EXPECT_FALSE(fault::should_fail(fault::Site::OpenWrite));
         // Sites with no rule never fire and never burn a draw.
-        EXPECT_FALSE(fault::should_fail(fault::Site::Lock));
+        EXPECT_FALSE(fault::should_fail(fault::Site::Enospc));
     }
     EXPECT_EQ(fault::injected_count(fault::Site::OpenRead), 50u);
     EXPECT_EQ(fault::injected_count(fault::Site::OpenWrite), 0u);
-    EXPECT_EQ(fault::injected_count(fault::Site::Lock), 0u);
+    EXPECT_EQ(fault::injected_count(fault::Site::Enospc), 0u);
 }
 
 TEST_F(FaultInjection, MatchFilterRestrictsToTaggedProbes)
@@ -120,17 +120,17 @@ TEST_F(FaultInjection, MatchFilterRestrictsToTaggedProbes)
 
 TEST_F(FaultInjection, MalformedSpecsAreRejectedAtomically)
 {
-    ASSERT_TRUE(fault::configure("lock=1", 7));
+    ASSERT_TRUE(fault::configure("enospc=1", 7));
     for (const char *bad :
-         {"bogus_site=1", "lock=1.5", "lock=-0.1", "lock", "=0.5",
-          "lock@=1", "lock=1,bogus_site=1", "lock=abc"}) {
+         {"bogus_site=1", "enospc=1.5", "enospc=-0.1", "enospc", "=0.5",
+          "enospc@=1", "enospc=1,bogus_site=1", "enospc=abc", "lock=1"}) {
         EXPECT_FALSE(fault::configure(bad, 7)) << bad;
         // The previous rules survive a failed configure.
-        EXPECT_TRUE(fault::should_fail(fault::Site::Lock)) << bad;
+        EXPECT_TRUE(fault::should_fail(fault::Site::Enospc)) << bad;
     }
     // The empty spec is valid and clears all rules.
     ASSERT_TRUE(fault::configure("", 7));
-    EXPECT_FALSE(fault::should_fail(fault::Site::Lock));
+    EXPECT_FALSE(fault::should_fail(fault::Site::Enospc));
 }
 
 TEST_F(FaultInjection, InjectedStoreFaultsDegradeTheCacheNotTheRun)
@@ -218,7 +218,7 @@ TEST_F(FaultInjection, ChaosSuiteSurvivorsAreByteIdenticalToCleanRun)
     const std::string dir = fresh_dir("lb_chaos_suite");
     config.cache_dir = dir;
     ASSERT_TRUE(fault::configure(
-        "short_write=0.4,rename_torn=0.4,lock=0.3,open_read=0.2", 42));
+        "short_write=0.4,rename_torn=0.4,enospc=0.3,open_read=0.2", 42));
     SuiteOutcome outcome = run_suite_isolated(names, config);
     fault::reset();
     fs::remove_all(dir);

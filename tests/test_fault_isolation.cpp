@@ -131,7 +131,7 @@ TEST(FaultIsolation, TransientFailureThatRecoversLeavesNoTrace)
     SuiteJobHook hook = [&attempts](const std::string &name) {
         if (name == "vortex" && attempts.fetch_add(1) == 0)
             throw util::StatusError(util::Status(
-                util::ErrorKind::LockTimeout, "first try loses"));
+                util::ErrorKind::IoError, "first try loses"));
     };
 
     SuiteOutcome outcome =

@@ -249,8 +249,8 @@ TEST(ErrorFrames, RoundTripEveryErrorKind)
     using util::ErrorKind;
     for (const ErrorKind kind :
          {ErrorKind::IoError, ErrorKind::NotFound,
-          ErrorKind::CorruptData, ErrorKind::LockTimeout,
-          ErrorKind::Interrupted, ErrorKind::InvalidArgument,
+          ErrorKind::CorruptData, ErrorKind::Interrupted,
+          ErrorKind::InvalidArgument,
           ErrorKind::FaultInjected, ErrorKind::Internal,
           ErrorKind::Overloaded, ErrorKind::ShuttingDown,
           ErrorKind::ConnectionClosed}) {

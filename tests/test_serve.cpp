@@ -18,8 +18,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <filesystem>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -28,8 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "core/artifact_cache.hpp"
@@ -122,6 +118,20 @@ response_kind(const std::string &frame)
     EXPECT_TRUE(parsed.has_value()) << frame;
     const util::JsonValue *kind = parsed.value().find("kind");
     return kind == nullptr ? "" : kind->string_value();
+}
+
+/** The frames carrying @p payloads, back to back, for one write. */
+std::string
+concat_frames(const std::vector<std::string> &payloads)
+{
+    std::string out;
+    for (const std::string &payload : payloads) {
+        for (int shift = 0; shift < 32; shift += 8)
+            out.push_back(
+                static_cast<char>((payload.size() >> shift) & 0xff));
+        out += payload;
+    }
+    return out;
 }
 
 using Response = std::shared_ptr<const std::string>;
@@ -808,54 +818,6 @@ TEST_F(ServeFixture, ShedsDeadlinesEndToEnd)
     EXPECT_EQ(server->stats().rejected_deadline, 1u);
 }
 
-TEST_F(ServeFixture, StatsSurfaceStaleLockBreaksAsLocksBroken)
-{
-    // Crash hygiene end to end: a daemon SIGKILLed while holding a
-    // cache entry lock leaves a stale `.lock`; the next daemon to miss
-    // that entry breaks it, and the break must surface in /stats as
-    // `locks_broken` (and in the run response's cache_health).
-    namespace fs = std::filesystem;
-    const std::string dir = ::testing::TempDir() + "lb_serve_stale";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-
-    // The daemon computes the entry key from the decoder-normalized
-    // config — reproduce it the same way.
-    const core::ExperimentRequest decoded = small_request();
-    const core::ArtifactCache probe(dir);
-    const std::string lock =
-        probe.entry_path(core::fingerprint_entry(
-            core::fingerprint_config(decoded.config), "gzip")) +
-        ".lock";
-    { std::ofstream out(lock); }
-    // Age it far past the 120 s stale threshold.
-    struct timespec stale[2];
-    ASSERT_EQ(::clock_gettime(CLOCK_REALTIME, &stale[0]), 0);
-    stale[0].tv_sec -= 600;
-    stale[1] = stale[0];
-    ASSERT_EQ(::utimensat(AT_FDCWD, lock.c_str(), stale, 0), 0);
-
-    ServerConfig config;
-    config.scheduler.cache_dir = dir;
-    start(config);
-
-    RunRequest request;
-    request.benchmarks = {"gzip"};
-    request.instructions = 20'000;
-    auto response = call_endpoint(endpoint, build_run_request(request));
-    ASSERT_TRUE(response.has_value()) << response.status().to_string();
-    const util::JsonValue *health = response.value().find("cache_health");
-    ASSERT_NE(health, nullptr);
-    EXPECT_EQ(health->find("lock_breaks")->u64_value(), 1u);
-
-    auto stats = call_endpoint(endpoint, build_stats_request());
-    ASSERT_TRUE(stats.has_value());
-    EXPECT_EQ(stats.value().find("locks_broken")->u64_value(), 1u);
-    EXPECT_EQ(server->stats().locks_broken, 1u);
-    EXPECT_FALSE(fs::exists(lock));
-    fs::remove_all(dir);
-}
-
 TEST_F(ServeFixture, PipelinedRequestsAnswerInOrderOnOneConnection)
 {
     start();
@@ -876,6 +838,7 @@ TEST_F(ServeFixture, PipelinedRequestsAnswerInOrderOnOneConnection)
 
     // Replies come back in request order: the trailing ping's reply
     // must wait behind the run even though it was ready first.
+    std::string warm;
     const char *expected[] = {"pong", "stats", "run", "pong"};
     for (const char *type : expected) {
         auto frame = recv_frame(socket.value());
@@ -885,7 +848,46 @@ TEST_F(ServeFixture, PipelinedRequestsAnswerInOrderOnOneConnection)
         EXPECT_EQ(parsed.value().find("status")->string_value(), "ok");
         EXPECT_EQ(parsed.value().find("type")->string_value(), type)
             << "pipelined replies arrived out of request order";
+        if (std::string(type) == "run")
+            warm = frame.value();
     }
+    ASSERT_FALSE(warm.empty());
+
+    // Four response-LRU hits in one write: the loop reads and answers
+    // them as one batch, and each reply is the warm body byte for byte.
+    const std::string hit = build_run_request(request);
+    const std::string hits = concat_frames({hit, hit, hit, hit});
+    ASSERT_TRUE(
+        net::send_all(socket.value(), hits.data(), hits.size()).ok());
+    for (int i = 0; i < 4; ++i) {
+        auto frame = recv_frame(socket.value());
+        ASSERT_TRUE(frame.has_value()) << frame.status().to_string();
+        EXPECT_EQ(frame.value(), warm) << "LRU hit " << i;
+    }
+
+    // Two LRU hits queued behind a cold run: ready first, they still
+    // wait for the run's reply.
+    RunRequest cold = request;
+    cold.instructions = 30'000;
+    const std::string behind =
+        concat_frames({build_run_request(cold), hit, hit});
+    ASSERT_TRUE(
+        net::send_all(socket.value(), behind.data(), behind.size()).ok());
+    auto first = recv_frame(socket.value());
+    ASSERT_TRUE(first.has_value()) << first.status().to_string();
+    auto parsed = util::json_parse(first.value());
+    ASSERT_TRUE(parsed.has_value()) << first.value();
+    EXPECT_EQ(parsed.value().find("status")->string_value(), "ok");
+    EXPECT_EQ(parsed.value().find("type")->string_value(), "run");
+    EXPECT_NE(first.value(), warm)
+        << "an LRU hit overtook the cold run queued before it";
+    for (int i = 0; i < 2; ++i) {
+        auto frame = recv_frame(socket.value());
+        ASSERT_TRUE(frame.has_value()) << frame.status().to_string();
+        EXPECT_EQ(frame.value(), warm) << "LRU hit " << i
+                                       << " behind the cold run";
+    }
+    EXPECT_EQ(server->stats().response_lru_hits, 6u);
 }
 
 // ------------------------------------------------------- four event loops

@@ -72,31 +72,6 @@ TEST(Accumulator, MergeEqualsSequential)
     EXPECT_DOUBLE_EQ(left.max(), all.max());
 }
 
-TEST(StatGroup, RegisterIncDump)
-{
-    StatGroup g;
-    const auto hits = g.add("cache.hits", "hit count");
-    const auto misses = g.add("cache.misses", "miss count");
-    g.inc(hits);
-    g.inc(hits, 4);
-    g.inc(misses, 2);
-    EXPECT_EQ(g.get(hits), 5.0);
-    EXPECT_EQ(g.get(misses), 2.0);
-    EXPECT_NE(g.find("cache.hits"), nullptr);
-    EXPECT_EQ(g.find("nope"), nullptr);
-    EXPECT_NE(g.dump().find("cache.hits"), std::string::npos);
-    g.reset_values();
-    EXPECT_EQ(g.get(hits), 0.0);
-}
-
-TEST(StatGroup, AddIsIdempotentByName)
-{
-    StatGroup g;
-    const auto a = g.add("x", "first");
-    const auto b = g.add("x", "second");
-    EXPECT_EQ(a, b);
-}
-
 // ------------------------------------------------------------ histogram
 
 TEST(Histogram, BinIndexAndEdges)
@@ -267,13 +242,6 @@ TEST(StringUtils, Commas)
     EXPECT_EQ(format_commas(1234567890), "1,234,567,890");
 }
 
-TEST(StringUtils, Bytes)
-{
-    EXPECT_EQ(format_bytes(64 * 1024), "64KiB");
-    EXPECT_EQ(format_bytes(2 * 1024 * 1024), "2MiB");
-    EXPECT_EQ(format_bytes(100), "100B");
-}
-
 TEST(StringUtils, SplitTrim)
 {
     const auto fields = split("a,b,,c", ',');
@@ -434,16 +402,4 @@ TEST(JsonWriter, EmptyContainersStayCompact)
     w.end_object();
     EXPECT_EQ(w.str(),
               "{\n  \"empty_list\": [],\n  \"empty_obj\": {}\n}");
-}
-
-TEST(JsonWriter, WriteTextFileRoundTrips)
-{
-    const std::string path =
-        ::testing::TempDir() + "lb_json_report.json";
-    ASSERT_TRUE(write_text_file(path, "{\"k\": 1}\n").ok());
-    std::ifstream in(path);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    EXPECT_EQ(contents, "{\"k\": 1}\n");
-    std::remove(path.c_str());
 }

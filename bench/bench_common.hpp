@@ -21,7 +21,6 @@
  *                      file is rewritten (atomically: tmp + rename) as
  *                      results accrue, so a partial report is still
  *                      valid JSON and never torn.
- *   --csv-dir DIR      mirror each table to DIR/<slug>.csv
  *   --cache-dir DIR    persist/reuse per-benchmark simulation results
  *                      (core::ArtifactCache).  Empty falls back to the
  *                      LEAKBOUND_CACHE_DIR environment variable; unset
@@ -99,9 +98,8 @@ struct BenchReport
 
     /**
      * One recorded failure.  `where` says which layer failed: "job"
-     * (a suite benchmark produced no result), "cache" (the artifact
-     * cache degraded), or "report" (a CSV/JSON mirror could not be
-     * written; the table still printed).
+     * (a suite benchmark produced no result) or "cache" (the artifact
+     * cache degraded).
      */
     struct Failure
     {
@@ -383,26 +381,13 @@ run_suite_reported(const std::vector<std::string> &names,
 }
 
 /**
- * When --csv-dir / --json were given, mirror @p table to
- * <csv-dir>/<slug>.csv / the JSON report without printing it.
+ * Add @p table to the JSON report under @p slug without printing it
+ * (the report is written only when --json was given).
  */
 inline void
 mirror(const util::Table &table, const util::Cli &cli,
        const std::string &slug)
 {
-    const std::string dir = cli.get("csv-dir");
-    if (!dir.empty()) {
-        const std::string path = dir + "/" + slug + ".csv";
-        if (util::Status wrote = table.write_csv(path); !wrote.ok()) {
-            // The table already printed; losing one CSV mirror is a
-            // recorded degradation, not a reason to die.
-            util::warn("cannot mirror table to CSV: ", wrote.to_string());
-            report().failures.push_back(BenchReport::Failure{
-                "report", path, util::error_kind_name(wrote.kind()),
-                wrote.message(), 0});
-        }
-    }
-
     BenchReport::TableDump dump;
     dump.slug = slug;
     dump.title = table.title();

@@ -90,7 +90,6 @@ main(int argc, char **argv)
                   "multicore request latency and cache commit through "
                   "leakboundd");
     core::SuiteFlagSpec spec;
-    spec.csv_dir = false;
     spec.suite_passes = false;
     spec.default_instructions = 200'000;
     core::register_suite_flags(cli, spec);

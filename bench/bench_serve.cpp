@@ -98,7 +98,6 @@ render_report(const util::Cli &cli, const serve::ServerConfig &config,
     w.key("response_lru_evictions").value(stats.response_lru_evictions);
     w.key("cache_hits").value(stats.cache_hits);
     w.key("rejected_overloaded").value(stats.rejected_overloaded);
-    w.key("rejected_deadline").value(stats.rejected_deadline);
     w.key("protocol_errors").value(stats.protocol_errors);
     w.key("sessions_accepted").value(stats.sessions_accepted);
     w.key("open_connections").value(stats.open_connections);
@@ -161,7 +160,6 @@ main(int argc, char **argv)
     util::Cli cli("bench_serve",
                   "leakboundd warm-cache throughput and latency");
     core::SuiteFlagSpec spec;
-    spec.csv_dir = false;
     spec.suite_passes = false;
     spec.default_instructions = 200'000;
     core::register_suite_flags(cli, spec);
@@ -210,8 +208,7 @@ main(int argc, char **argv)
 
     auto call_once = [&](std::string *raw) {
         return serve::call_endpoint(endpoint,
-                                    serve::build_run_request(request),
-                                    serve::kDefaultMaxFrameBytes, raw);
+                                    serve::build_run_request(request), raw);
     };
     auto teardown = [&] {
         server.request_drain();

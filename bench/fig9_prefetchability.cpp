@@ -8,7 +8,7 @@
  * Paper reference: I-cache next-line prefetchability 23%;
  * D-cache next-line 16.3% + stride 5.1% = 21.4% of all intervals.
  * Those totals are printed as one line per cache and reach the
- * --json report (and --csv-dir) as the table `fig9_totals`.
+ * --json report as the table `fig9_totals`.
  */
 
 #include "bench_common.hpp"

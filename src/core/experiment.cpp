@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <utility>
 
 #include "core/artifact_cache.hpp"
@@ -255,15 +254,7 @@ run_suite_isolated(const std::vector<std::string> &names,
         }
     };
 
-    std::vector<JobOutcome> job_outcomes(names.size());
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < names.size(); ++i)
-            job_outcomes[i] = attempt_job(names[i]);
-    } else {
-        // Collecting futures in submission order makes the merge
-        // deterministic: the output is bit-identical to the serial
-        // loop for any jobs value.  Cache probes run inside the
-        // workers too — distinct benchmarks map to distinct entries.
+    if (jobs > 1) {
         // Names are validated on this thread first: an unknown
         // benchmark is a user error (fatal) and should die before any
         // worker spawns, exactly like the serial path.
@@ -274,18 +265,16 @@ run_suite_isolated(const std::vector<std::string> &names,
         util::inform("simulating ", names.size(), " benchmarks on ",
                      jobs, " threads (", config.instructions,
                      " instructions each)");
-        util::ThreadPool pool(jobs);
-        std::vector<std::future<JobOutcome>> futures;
-        futures.reserve(names.size());
-        for (const std::string &name : names) {
-            futures.push_back(
-                pool.submit([&attempt_job, &name] {
-                    return attempt_job(name);
-                }));
-        }
-        for (std::size_t i = 0; i < futures.size(); ++i)
-            job_outcomes[i] = futures[i].get();
     }
+    // Outcomes come back in suite order for any jobs value, so the
+    // merge below is bit-identical to the serial loop.  Cache probes
+    // run inside the workers too — distinct benchmarks map to
+    // distinct entries.
+    std::vector<JobOutcome> job_outcomes = util::parallel_map_ordered(
+        names.size(), jobs,
+        [&attempt_job, &names](std::size_t i) {
+            return attempt_job(names[i]);
+        });
 
     for (std::size_t i = 0; i < names.size(); ++i) {
         JobOutcome &out = job_outcomes[i];

@@ -143,13 +143,6 @@ decode_experiment_request(const util::JsonValue &body,
             }
             continue;
         }
-        if (key == "deadline_ms") {
-            if (!value.is_u64())
-                return bad_request("'deadline_ms' must be a "
-                                   "non-negative integer");
-            request.deadline_ms = value.u64_value();
-            continue;
-        }
         if (key == "jobs" || key == "cache_dir" || key == "keep_raw") {
             return bad_request("'" + key +
                                "' is server-owned and cannot be set "

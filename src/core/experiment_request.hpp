@@ -51,15 +51,6 @@ struct ExperimentRequest
      * ExperimentResults offline.
      */
     bool want_payload = false;
-    /**
-     * Client completion deadline in milliseconds (0 = none).  Pure
-     * admission metadata: when the scheduler estimates the request
-     * cannot complete inside the deadline it is shed `overloaded`
-     * instead of queued.  Excluded from fingerprint_request — a
-     * deadline never changes what is computed or rendered, so it must
-     * not split a dedup group or a cache entry.
-     */
-    std::uint64_t deadline_ms = 0;
 };
 
 /**
@@ -69,16 +60,14 @@ struct ExperimentRequest
  * 1000..@p max_instructions), "nl_lead_time" (u64 cycles),
  * "collect_l2" (bool), "standard_edges" (bool, default true: absorb
  * standard_extra_edges() so any stock policy can evaluate the result),
- * "extra_edges" (u64 array), "payload" (bool), "deadline_ms" (u64,
- * 0 = none; admission metadata, never part of the dedup key),
- * "core_count" (u64, 1..core::kMaxCoreCount; cores sharing the L2 —
- * values above 1 select the multicore engine and scale the
- * per-request budget check to instructions x core_count), and
- * "workload_mix" (non-empty string array of valid suite names whose
- * length must equal core_count; per-core benchmarks).  Anything
- * else —
- * unknown keys, wrong types, out-of-range values, server-owned knobs
- * like "jobs"/"cache_dir"/"keep_raw" — is an InvalidArgument.
+ * "extra_edges" (u64 array), "payload" (bool), "core_count" (u64,
+ * 1..core::kMaxCoreCount; cores sharing the L2 — values above 1
+ * select the multicore engine and scale the per-request budget check
+ * to instructions x core_count), and "workload_mix" (non-empty string
+ * array of valid suite names whose length must equal core_count;
+ * per-core benchmarks).  Anything else — unknown keys, wrong types,
+ * out-of-range values, server-owned knobs like
+ * "jobs"/"cache_dir"/"keep_raw" — is an InvalidArgument.
  */
 util::Expected<ExperimentRequest>
 decode_experiment_request(const util::JsonValue &body,

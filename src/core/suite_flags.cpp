@@ -32,12 +32,6 @@ register_suite_flags(util::Cli &cli, const SuiteFlagSpec &spec)
                      "timings to this JSON file (empty = off)",
                      "");
     }
-    if (spec.csv_dir) {
-        cli.add_flag("csv-dir",
-                     "also mirror each table to CSV files in this "
-                     "directory (empty = off)",
-                     "");
-    }
     if (spec.cache_dir) {
         cli.add_flag("cache-dir",
                      "persist/reuse per-benchmark simulation artifacts "

@@ -1,7 +1,7 @@
 /**
  * @file
- * The shared `--instructions/--jobs/--json/--csv-dir/--cache-dir/
- * --suite-passes` flag family, extracted from the bench harness so
+ * The shared `--instructions/--jobs/--json/--cache-dir/--suite-passes`
+ * flag family, extracted from the bench harness so
  * every front end that runs suites — the 17 bench binaries,
  * `leakboundd`, `leakbound-client` — registers the same names with the
  * same help text and the same semantics, instead of each binary
@@ -28,7 +28,6 @@ struct SuiteFlagSpec
     bool instructions = true;
     bool jobs = true;
     bool json = true;
-    bool csv_dir = true;
     bool cache_dir = true;
     bool suite_passes = true;
     /** Default per-benchmark instruction budget. */

@@ -50,8 +50,6 @@ build_run_request(const RunRequest &request)
     }
     if (request.want_payload)
         w.key("payload").value(true);
-    if (request.deadline_ms != 0)
-        w.key("deadline_ms").value(request.deadline_ms);
     if (request.core_count != 1)
         w.key("core_count").value(
             static_cast<std::uint64_t>(request.core_count));
@@ -83,12 +81,11 @@ build_ping_request()
 
 util::Expected<util::JsonValue>
 call(const util::net::Socket &socket, const std::string &request_json,
-     std::size_t max_frame, std::string *raw_frame)
+     std::string *raw_frame)
 {
-    if (util::Status sent = send_frame(socket, request_json, max_frame);
-        !sent.ok())
+    if (util::Status sent = send_frame(socket, request_json); !sent.ok())
         return sent;
-    auto frame = recv_frame(socket, max_frame);
+    auto frame = recv_frame(socket);
     if (!frame)
         return frame.status();
     if (raw_frame != nullptr)
@@ -127,12 +124,12 @@ call(const util::net::Socket &socket, const std::string &request_json,
 
 util::Expected<util::JsonValue>
 call_endpoint(const Endpoint &endpoint, const std::string &request_json,
-              std::size_t max_frame, std::string *raw_frame)
+              std::string *raw_frame)
 {
     auto socket = connect_endpoint(endpoint);
     if (!socket)
         return socket.status();
-    return call(socket.value(), request_json, max_frame, raw_frame);
+    return call(socket.value(), request_json, raw_frame);
 }
 
 LoadReport
@@ -199,25 +196,24 @@ run_load(const Endpoint &endpoint, const RunRequest &request,
     }
     report.idle_connections_held = idle.size();
 
+    // Every request of a batch is the same frame, so one prebuilt
+    // batch serves every thread; a short last batch sends a prefix.
+    const std::uint64_t batch =
+        options.persistent ? std::max(options.pipeline, 1u) : 1;
+    const std::size_t frame_bytes = kFrameHeaderBytes + request_json.size();
+    std::string wire;
+    wire.reserve(frame_bytes * batch);
+    for (std::uint64_t i = 0; i < batch; ++i)
+        append_frame(wire, request_json);
+
     const auto begun = std::chrono::steady_clock::now();
 
-    // Batched pipelining: claim up to `pipeline` requests, push them
-    // down one connection as a single write, then read the responses
-    // back in order.  Exercises the daemon's per-connection reply
-    // queue and amortizes syscalls on both sides of the wire.  A
-    // broken connection fails the unanswered tail of its batch and is
-    // reopened for the next one.
-    auto pipelined_worker = [&] {
-        // One frame, prebuilt: 4-byte LE length prefix + payload.
-        std::string framed;
-        const std::uint32_t size =
-            static_cast<std::uint32_t>(request_json.size());
-        framed.push_back(static_cast<char>(size & 0xff));
-        framed.push_back(static_cast<char>((size >> 8) & 0xff));
-        framed.push_back(static_cast<char>((size >> 16) & 0xff));
-        framed.push_back(static_cast<char>((size >> 24) & 0xff));
-        framed.append(request_json);
-
+    // One worker body for every load shape: claim a batch, connect if
+    // no connection is held, push the batch down in one write, then
+    // read the replies back in order.  A broken connection fails the
+    // unanswered tail of its batch and is reopened for the next one;
+    // without `persistent` every batch gets a fresh connection.
+    auto worker = [&] {
         util::net::Socket connection;
         for (;;) {
             std::uint64_t remaining;
@@ -225,10 +221,11 @@ run_load(const Endpoint &endpoint, const RunRequest &request,
                 std::lock_guard<std::mutex> lock(mutex);
                 if (next >= options.total)
                     return;
-                remaining = std::min<std::uint64_t>(options.pipeline,
-                                                    options.total - next);
+                remaining =
+                    std::min<std::uint64_t>(batch, options.total - next);
                 next += remaining;
             }
+            const auto sent_at = std::chrono::steady_clock::now();
             bool broke = false;
             if (!connection.valid()) {
                 if (auto fresh = connect_endpoint(endpoint))
@@ -236,29 +233,20 @@ run_load(const Endpoint &endpoint, const RunRequest &request,
                 else
                     broke = true;
             }
-            auto sent_at = std::chrono::steady_clock::now();
             if (!broke) {
-                std::string wire;
-                wire.reserve(framed.size() * remaining);
-                for (std::uint64_t i = 0; i < remaining; ++i)
-                    wire.append(framed);
-                sent_at = std::chrono::steady_clock::now();
                 if (util::Status pushed = util::net::send_all(
-                        connection, wire.data(), wire.size());
-                    !pushed.ok()) {
-                    connection.close();
+                        connection, wire.data(), frame_bytes * remaining);
+                    !pushed.ok())
                     broke = true;
-                }
             }
             while (!broke && remaining > 0) {
-                auto frame = recv_frame(connection, options.max_frame);
+                auto frame = recv_frame(connection);
                 const double ms =
                     std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - sent_at)
                         .count();
                 if (!frame) {
                     // The unanswered tail is gone with the stream.
-                    connection.close();
                     broke = true;
                     break;
                 }
@@ -285,98 +273,17 @@ run_load(const Endpoint &endpoint, const RunRequest &request,
                 report.sent += remaining;
                 report.other_errors += remaining;
             }
-        }
-    };
-
-    auto worker = [&] {
-        util::net::Socket persistent;
-        for (;;) {
-            std::uint64_t k;
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (next >= options.total)
-                    return;
-                k = next++;
-            }
-            if (options.open_loop_rps > 0.0) {
-                // Open loop: request k is due at begun + k/rate, no
-                // matter how the server is doing.
-                const auto due =
-                    begun + std::chrono::duration_cast<
-                                std::chrono::steady_clock::duration>(
-                                std::chrono::duration<double>(
-                                    static_cast<double>(k) /
-                                    options.open_loop_rps));
-                std::this_thread::sleep_until(due);
-            }
-            const auto sent_at = std::chrono::steady_clock::now();
-            std::string raw;
-            util::Expected<util::JsonValue> response =
-                util::Status(util::ErrorKind::IoError, "not sent");
-            if (options.persistent) {
-                if (!persistent.valid()) {
-                    if (auto fresh = connect_endpoint(endpoint))
-                        persistent = fresh.take();
-                }
-                if (persistent.valid()) {
-                    response = call(persistent, request_json,
-                                    options.max_frame, &raw);
-                    if (!response)
-                        persistent.close(); // reconnect next round
-                } else {
-                    response = util::Status(
-                        util::ErrorKind::IoError,
-                        "cannot connect to the daemon");
-                }
-            } else {
-                response = call_endpoint(endpoint, request_json,
-                                         options.max_frame, &raw);
-            }
-            const double ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - sent_at)
-                    .count();
-
-            std::lock_guard<std::mutex> lock(mutex);
-            ++report.sent;
-            report.latency_ms.add(ms);
-            if (!response) {
-                switch (response.status().kind()) {
-                  case util::ErrorKind::Overloaded:
-                    ++report.overloaded;
-                    break;
-                  case util::ErrorKind::ShuttingDown:
-                    ++report.shutting_down;
-                    break;
-                  default:
-                    ++report.other_errors;
-                }
-                continue;
-            }
-            ++report.ok;
-            const util::JsonValue &body = response.value();
-            if (const util::JsonValue *fp =
-                    body.find("request_fingerprint");
-                fp != nullptr && fp->is_string())
-                fingerprints.insert(fp->string_value());
-            response_digests.insert(
-                util::fnv1a(raw.data(), raw.size()));
+            if (broke || !options.persistent)
+                connection.close();
         }
     };
 
     std::vector<std::thread> threads;
     const unsigned workers =
         options.concurrency == 0 ? 1 : options.concurrency;
-    const bool pipelined = options.persistent &&
-                           options.pipeline > 1 &&
-                           options.open_loop_rps <= 0.0;
     threads.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i) {
-        if (pipelined)
-            threads.emplace_back(pipelined_worker);
-        else
-            threads.emplace_back(worker);
-    }
+    for (unsigned i = 0; i < workers; ++i)
+        threads.emplace_back(worker);
     for (std::thread &thread : threads)
         thread.join();
 

@@ -8,6 +8,10 @@
  * ShuttingDown) all surface as the matching ErrorKind, rebuilt from
  * the error frame's "kind" member, so callers branch on taxonomy
  * instead of string-matching messages.
+ *
+ * The load generator is closed-loop: each client thread sends its
+ * next batch only once the previous batch is answered, so the load
+ * it offers never outruns what the daemon serves.
  */
 
 #ifndef LEAKBOUND_SERVE_CLIENT_HPP
@@ -46,13 +50,6 @@ struct RunRequest
     bool standard_edges = true;
     std::vector<std::uint64_t> extra_edges;
     bool want_payload = false;
-    /**
-     * Completion deadline hint in milliseconds (0 = none).  The server
-     * sheds the request with Overloaded when its backlog model says
-     * the deadline cannot be met.  Admission metadata only — never
-     * part of the dedup fingerprint.
-     */
-    std::uint64_t deadline_ms = 0;
     /** Cores sharing the L2 (1 = the classic single-core simulator;
      *  omitted from the wire request at the default). */
     std::uint32_t core_count = 1;
@@ -78,13 +75,11 @@ std::string build_ping_request();
  */
 util::Expected<util::JsonValue>
 call(const util::net::Socket &socket, const std::string &request_json,
-     std::size_t max_frame = kDefaultMaxFrameBytes,
      std::string *raw_frame = nullptr);
 
 /** connect_endpoint + call on a throwaway connection. */
 util::Expected<util::JsonValue>
 call_endpoint(const Endpoint &endpoint, const std::string &request_json,
-              std::size_t max_frame = kDefaultMaxFrameBytes,
               std::string *raw_frame = nullptr);
 
 /** What a load-generation run observed (the client prints this). */
@@ -102,6 +97,8 @@ struct LoadReport
     std::uint64_t distinct_responses = 0;
     /** Idle connections actually held open during the run. */
     std::uint64_t idle_connections_held = 0;
+    /** Per answered request: from just before its batch was sent,
+     *  any connect included, to its reply. */
     util::LatencyRecorder latency_ms;
     double wall_seconds = 0.0;
 };
@@ -111,7 +108,7 @@ struct LoadOptions
 {
     /** Total run requests to fire. */
     std::uint64_t total = 1;
-    /** Client worker threads (in-flight ceiling in closed-loop mode). */
+    /** Client worker threads. */
     unsigned concurrency = 1;
     /**
      * Extra connections opened before the load loop starts and held
@@ -121,27 +118,17 @@ struct LoadOptions
      */
     unsigned idle_connections = 0;
     /**
-     * Open-loop arrival rate in requests/second (0 = closed loop).
-     * Request k is released at start + k/rate regardless of how long
-     * earlier requests take, so a slow server faces a growing backlog
-     * instead of implicit client-side backoff — the arrival pattern
-     * deadline shedding exists for.
-     */
-    double open_loop_rps = 0.0;
-    /**
-     * Reuse one connection per worker thread for its whole loop
-     * (pipelined request/response pairs) instead of a fresh connection
-     * per request.
+     * Keep one connection per worker thread for its whole loop
+     * instead of a fresh connection per request.
      */
     bool persistent = false;
     /**
-     * Requests a persistent worker keeps in flight on its connection
-     * before reading responses (1 = strict request/response lockstep).
-     * Depth > 1 exercises the daemon's ordered per-connection reply
-     * queue and amortizes syscalls on both sides.
+     * Requests a persistent worker sends in one write before reading
+     * their replies (1 = strict request/response lockstep).  Depth > 1
+     * exercises the daemon's ordered per-connection reply queue and
+     * amortizes syscalls on both sides.  Ignored without persistent.
      */
     unsigned pipeline = 1;
-    std::size_t max_frame = kDefaultMaxFrameBytes;
 };
 
 /**

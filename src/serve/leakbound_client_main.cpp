@@ -65,7 +65,6 @@ main(int argc, char **argv)
     core::SuiteFlagSpec spec;
     spec.jobs = false;       // compute happens server-side
     spec.cache_dir = false;  // caching is server-owned
-    spec.csv_dir = false;
     spec.suite_passes = false;
     spec.default_instructions = 200'000;
     core::register_suite_flags(cli, spec); // --instructions, --json
@@ -101,10 +100,6 @@ main(int argc, char **argv)
                  "hold N extra connections open but idle for the whole "
                  "--load run (the 10k-connection scenario)",
                  "0");
-    cli.add_flag("rate",
-                 "open-loop arrival rate in req/s for --load "
-                 "(0 = closed loop)",
-                 "0");
     cli.add_flag("persistent",
                  "reuse one connection per load thread instead of one "
                  "per request",
@@ -113,10 +108,6 @@ main(int argc, char **argv)
                  "requests each persistent load thread keeps in "
                  "flight on its connection",
                  "1");
-    cli.add_flag("deadline-ms",
-                 "per-request completion deadline; the daemon sheds "
-                 "requests it cannot finish in time (0 = none)",
-                 "0");
     cli.parse(argc, argv);
 
     const serve::Endpoint endpoint = endpoint_from_flags(cli);
@@ -126,8 +117,7 @@ main(int argc, char **argv)
                                         ? serve::build_ping_request()
                                         : serve::build_stats_request();
         std::string raw;
-        auto response = serve::call_endpoint(
-            endpoint, request, serve::kDefaultMaxFrameBytes, &raw);
+        auto response = serve::call_endpoint(endpoint, request, &raw);
         if (!response) {
             std::fprintf(stderr, "leakbound-client: %s\n",
                          response.status().to_string().c_str());
@@ -145,7 +135,6 @@ main(int argc, char **argv)
     request.nl_lead_time = cli.get_u64("nl-lead-time");
     request.collect_l2 = cli.get_bool("collect-l2");
     request.want_payload = cli.get_bool("payload");
-    request.deadline_ms = cli.get_u64("deadline-ms");
     request.core_count =
         static_cast<std::uint32_t>(cli.get_u64("core-count"));
     if (const std::string mix = cli.get("workload-mix"); !mix.empty()) {
@@ -165,8 +154,7 @@ main(int argc, char **argv)
     if (load == 0) {
         std::string raw;
         auto response = serve::call_endpoint(
-            endpoint, serve::build_run_request(request),
-            serve::kDefaultMaxFrameBytes, &raw);
+            endpoint, serve::build_run_request(request), &raw);
         if (!response) {
             std::fprintf(stderr, "leakbound-client: %s\n",
                          response.status().to_string().c_str());
@@ -179,8 +167,6 @@ main(int argc, char **argv)
     options.total = load;
     options.concurrency =
         static_cast<unsigned>(cli.get_u64("concurrency"));
-    options.open_loop_rps =
-        static_cast<double>(cli.get_u64("rate"));
     options.persistent = cli.get_bool("persistent");
     options.pipeline = static_cast<unsigned>(cli.get_u64("pipeline"));
     options.idle_connections =

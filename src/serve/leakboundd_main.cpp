@@ -36,7 +36,6 @@ main(int argc, char **argv)
     core::SuiteFlagSpec spec;
     spec.instructions = false; // budgets come per request
     spec.json = false;
-    spec.csv_dir = false;
     spec.suite_passes = false;
     core::register_suite_flags(cli, spec); // --jobs, --cache-dir
     cli.add_flag("socket", "unix-domain socket path to listen on",
@@ -107,7 +106,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(stats.response_lru_hits),
                 static_cast<unsigned long long>(stats.cache_hits),
                 static_cast<unsigned long long>(
-                    stats.rejected_overloaded + stats.rejected_deadline +
+                    stats.rejected_overloaded +
                     stats.rejected_shutting_down));
     return 0;
 }

@@ -6,64 +6,75 @@
 
 #include "serve/protocol.hpp"
 
-#include <cstring>
-
 #include "core/artifact_cache.hpp"
 #include "util/fingerprint.hpp"
 #include "util/json.hpp"
 
 namespace leakbound::serve {
 
-util::Status
-send_frame(const util::net::Socket &socket, const std::string &payload,
-           std::size_t max_frame)
+void
+append_frame(std::string &out, const std::string &payload)
 {
-    if (payload.size() > max_frame) {
+    const std::size_t size = payload.size();
+    for (std::size_t shift = 0; shift < 8 * kFrameHeaderBytes; shift += 8)
+        out.push_back(static_cast<char>((size >> shift) & 0xff));
+    out.append(payload);
+}
+
+util::Expected<std::size_t>
+read_frame_header(const char *header)
+{
+    const auto *bytes = reinterpret_cast<const unsigned char *>(header);
+    std::size_t size = 0;
+    for (std::size_t i = 0; i < kFrameHeaderBytes; ++i)
+        size |= static_cast<std::size_t>(bytes[i]) << (8 * i);
+    if (size > kDefaultMaxFrameBytes) {
+        return util::Status(util::ErrorKind::CorruptData,
+                            "frame length prefix of " +
+                                std::to_string(size) +
+                                " bytes exceeds the " +
+                                std::to_string(kDefaultMaxFrameBytes) +
+                                " byte cap");
+    }
+    return size;
+}
+
+util::Status
+send_frame(const util::net::Socket &socket, const std::string &payload)
+{
+    if (payload.size() > kDefaultMaxFrameBytes) {
         return util::Status(util::ErrorKind::InvalidArgument,
                             "frame payload of " +
                                 std::to_string(payload.size()) +
                                 " bytes exceeds the " +
-                                std::to_string(max_frame) + " byte cap");
+                                std::to_string(kDefaultMaxFrameBytes) +
+                                " byte cap");
     }
     // One buffer, one send path: splitting header and payload into
     // two writes invites a Nagle/delayed-ACK stall between them.
-    const std::uint32_t size = static_cast<std::uint32_t>(payload.size());
     std::string frame;
     frame.reserve(kFrameHeaderBytes + payload.size());
-    frame.push_back(static_cast<char>(size & 0xff));
-    frame.push_back(static_cast<char>((size >> 8) & 0xff));
-    frame.push_back(static_cast<char>((size >> 16) & 0xff));
-    frame.push_back(static_cast<char>((size >> 24) & 0xff));
-    frame.append(payload);
+    append_frame(frame, payload);
     return util::net::send_all(socket, frame.data(), frame.size());
 }
 
 util::Expected<std::string>
-recv_frame(const util::net::Socket &socket, std::size_t max_frame)
+recv_frame(const util::net::Socket &socket)
 {
     std::string header;
     if (util::Status got =
             util::net::recv_exact(socket, kFrameHeaderBytes, header);
         !got.ok())
         return got;
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(header.data());
-    const std::uint32_t size =
-        static_cast<std::uint32_t>(bytes[0]) |
-        (static_cast<std::uint32_t>(bytes[1]) << 8) |
-        (static_cast<std::uint32_t>(bytes[2]) << 16) |
-        (static_cast<std::uint32_t>(bytes[3]) << 24);
-    if (size > max_frame) {
-        return util::Status(util::ErrorKind::CorruptData,
-                            "frame length prefix of " +
-                                std::to_string(size) +
-                                " bytes exceeds the " +
-                                std::to_string(max_frame) + " byte cap");
-    }
+    const util::Expected<std::size_t> size =
+        read_frame_header(header.data());
+    if (!size)
+        return size.status();
     std::string payload;
-    if (size == 0)
+    if (size.value() == 0)
         return payload;
-    if (util::Status got = util::net::recv_exact(socket, size, payload);
+    if (util::Status got =
+            util::net::recv_exact(socket, size.value(), payload);
         !got.ok()) {
         // recv_exact reports clean EOF before the first byte as
         // ConnectionClosed, but after a header a vanishing peer is a
@@ -71,7 +82,7 @@ recv_frame(const util::net::Socket &socket, std::size_t max_frame)
         if (got.kind() == util::ErrorKind::ConnectionClosed) {
             return util::Status(util::ErrorKind::CorruptData,
                                 "peer closed mid-frame: announced " +
-                                    std::to_string(size) +
+                                    std::to_string(size.value()) +
                                     " bytes, sent none");
         }
         return got;
@@ -170,7 +181,6 @@ render_stats(const StatsSnapshot &stats)
     w.key("cache_hits").value(stats.cache_hits);
     w.key("sim_runs").value(stats.sim_runs);
     w.key("rejected_overloaded").value(stats.rejected_overloaded);
-    w.key("rejected_deadline").value(stats.rejected_deadline);
     w.key("rejected_shutting_down").value(stats.rejected_shutting_down);
     w.key("protocol_errors").value(stats.protocol_errors);
     w.key("sessions_accepted").value(stats.sessions_accepted);

@@ -51,23 +51,33 @@ inline constexpr std::size_t kDefaultMaxFrameBytes = 16u << 20;
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
 /**
+ * Append @p payload to @p out as one frame: the 4-byte little-endian
+ * length prefix, then the payload.  The caller keeps the payload
+ * within kDefaultMaxFrameBytes.
+ */
+void append_frame(std::string &out, const std::string &payload);
+
+/**
+ * The payload length announced by the kFrameHeaderBytes prefix at
+ * @p header; CorruptData when it exceeds kDefaultMaxFrameBytes.
+ */
+util::Expected<std::size_t> read_frame_header(const char *header);
+
+/**
  * Send @p payload as one length-prefixed frame.  Fails with
  * InvalidArgument (without writing anything) when the payload exceeds
- * @p max_frame — the sender must never emit a frame the peer is
- * contractually required to reject.
+ * kDefaultMaxFrameBytes — the sender must never emit a frame the peer
+ * is contractually required to reject.
  */
 util::Status send_frame(const util::net::Socket &socket,
-                        const std::string &payload,
-                        std::size_t max_frame = kDefaultMaxFrameBytes);
+                        const std::string &payload);
 
 /**
  * Receive one frame payload.  ConnectionClosed when the peer hung up
  * cleanly between frames; CorruptData on a truncated header/payload or
- * a length prefix above @p max_frame.
+ * a length prefix above kDefaultMaxFrameBytes.
  */
-util::Expected<std::string>
-recv_frame(const util::net::Socket &socket,
-           std::size_t max_frame = kDefaultMaxFrameBytes);
+util::Expected<std::string> recv_frame(const util::net::Socket &socket);
 
 /** Lower-case hex of @p bytes (the "payload" member encoding). */
 std::string hex_encode(const std::string &bytes);
@@ -93,7 +103,12 @@ struct StatsSnapshot
     std::uint64_t cache_hits = 0;        ///< benchmarks loaded, not simulated
     std::uint64_t sim_runs = 0;          ///< benchmarks simulated end to end
     std::uint64_t rejected_overloaded = 0;
-    std::uint64_t rejected_deadline = 0; ///< shed: deadline unmeetable
+    /**
+     * Nothing sets it, and /stats does not render it.  It stays only
+     * because the perfbench harness, its one reader, still sums it;
+     * the next change to that harness removes it.
+     */
+    std::uint64_t rejected_deadline = 0;
     std::uint64_t rejected_shutting_down = 0;
     std::uint64_t protocol_errors = 0;   ///< malformed frames/requests
     std::uint64_t sessions_accepted = 0;

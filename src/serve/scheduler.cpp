@@ -1,14 +1,12 @@
 /**
  * @file
  * Implementation of the dedup/backpressure scheduler: admission (LRU
- * lookup, dedup join, deadline shed, queue bound), the worker loop,
- * and completion fan-out to the waiters' callbacks.
+ * lookup, dedup join, queue bound), the worker loop, and completion
+ * fan-out to the waiters' callbacks.
  */
 
 #include "serve/scheduler.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <exception>
 
 #include "serve/protocol.hpp"
@@ -24,7 +22,6 @@ constexpr std::size_t kLruEntryOverhead = 64;
 
 Scheduler::Scheduler(SchedulerConfig config) : config_(std::move(config))
 {
-    job_ms_ewma_ = config_.assumed_job_ms;
     const unsigned workers = config_.workers == 0 ? 1 : config_.workers;
     workers_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i)
@@ -104,30 +101,6 @@ Scheduler::admit(core::ExperimentRequest &&request, std::uint64_t fingerprint)
         admission.job = it->second;
         ++counters_.dedup_hits;
         return admission;
-    }
-
-    // Deadline shed: when the backlog says this request cannot finish
-    // in time, rejecting now is strictly kinder than queueing it into
-    // a guaranteed timeout.  Joins and LRU hits never reach here.
-    if (request.deadline_ms > 0 && job_ms_ewma_ > 0.0) {
-        const unsigned workers =
-            config_.workers == 0 ? 1 : config_.workers;
-        const double backlog =
-            static_cast<double>(queue_.size()) +
-            0.5 * static_cast<double>(counters_.running) + 1.0;
-        const double estimate_ms = job_ms_ewma_ * backlog / workers;
-        if (estimate_ms > static_cast<double>(request.deadline_ms)) {
-            ++counters_.rejected_deadline;
-            admission.rejected = util::Status(
-                util::ErrorKind::Overloaded,
-                "deadline " + std::to_string(request.deadline_ms) +
-                    " ms unmeetable (estimated " +
-                    std::to_string(
-                        static_cast<std::uint64_t>(estimate_ms)) +
-                    " ms to completion); retry later or raise the "
-                    "deadline");
-            return admission;
-        }
     }
 
     if (queue_.size() >= config_.max_queue) {
@@ -213,19 +186,8 @@ Scheduler::worker_loop()
         core::ExperimentRequest request = job->request;
         const std::uint64_t fingerprint = job->fingerprint;
         lock.unlock();
-        const auto begun = std::chrono::steady_clock::now();
         Rendered rendered = execute(request, fingerprint);
-        const double job_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - begun)
-                .count();
         lock.lock();
-
-        // The deadline shedder's cost model: a slow-moving EWMA of
-        // job wall times, seeded by config (0 = learn from here).
-        job_ms_ewma_ = job_ms_ewma_ <= 0.0
-                           ? job_ms
-                           : 0.7 * job_ms_ewma_ + 0.3 * job_ms;
         finish_job(job, std::move(rendered), lock);
     }
 }

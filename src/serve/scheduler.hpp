@@ -3,7 +3,7 @@
  * Deduplicating, bounded-admission scheduler of the leakboundd daemon.
  *
  * The scheduler owns the daemon's compute: a small pool of suite
- * workers draining a FIFO of admitted run requests.  Five properties
+ * workers draining a FIFO of admitted run requests.  Four properties
  * the server layer builds on:
  *
  *  - **Dedup.** Requests are keyed by core::fingerprint_request — the
@@ -21,17 +21,10 @@
  *    memory — no artifact-cache probe, no re-simulation, no JSON
  *    re-render — with the exact bytes the cold render produced.
  *
- *  - **Deadline shedding.** A request may carry deadline_ms; when the
- *    scheduler's completion-time estimate (EWMA of recent job wall
- *    times scaled by the backlog) exceeds it, the request is rejected
- *    `overloaded` at admission instead of occupying a queue slot it
- *    cannot convert into a useful answer.  Dedup joins and LRU hits
- *    are never shed — they are (near-)free.
- *
- *  - **Backpressure.** Admission stays bounded regardless of
- *    deadlines: when max_queue jobs are admitted-but-not-started, a
- *    new (non-duplicate) request is rejected with
- *    ErrorKind::Overloaded immediately.
+ *  - **Backpressure.** Admission is bounded: when max_queue jobs are
+ *    admitted-but-not-started, a new (non-duplicate) request is
+ *    rejected with ErrorKind::Overloaded immediately.  Dedup joins and
+ *    LRU hits bypass the bound — they are (near-)free.
  *
  *  - **Graceful drain.** drain() stops admission (new requests get
  *    ShuttingDown), fails every queued-not-started job with a
@@ -83,13 +76,6 @@ struct SchedulerConfig
     unsigned suite_jobs = 1;
     /** Rendered-response LRU byte budget (0 = LRU off). */
     std::size_t response_cache_bytes = 64u << 20;
-    /**
-     * Seed for the job-cost EWMA the deadline shedder consults, in
-     * milliseconds.  0 (the default) means "learn from the first
-     * completed job and shed nothing until then"; tests pin it so
-     * shedding is deterministic.
-     */
-    double assumed_job_ms = 0.0;
     /** Test seam forwarded to core::run_suite_isolated per job. */
     core::SuiteJobHook before_job;
 };
@@ -106,7 +92,6 @@ struct SchedulerCounters
     std::uint64_t sim_runs = 0;     ///< benchmarks simulated end to end
     std::uint64_t simulations = 0;  ///< suite runs actually executed
     std::uint64_t rejected_overloaded = 0; ///< queue-bound rejections
-    std::uint64_t rejected_deadline = 0;   ///< deadline-shed rejections
     std::uint64_t rejected_shutting_down = 0;
     std::uint64_t queue_depth = 0;  ///< instantaneous: admitted, waiting
     std::uint64_t running = 0;      ///< instantaneous: executing now
@@ -216,8 +201,6 @@ class Scheduler
     std::unordered_map<std::uint64_t, std::list<LruEntry>::iterator>
         lru_index_;
     std::size_t lru_bytes_ = 0;
-    /** EWMA of job wall time, ms (0 until the first job completes). */
-    double job_ms_ewma_ = 0.0;
     SchedulerCounters counters_;
     std::vector<std::thread> workers_;
 };

@@ -29,14 +29,11 @@ constexpr std::uint64_t kWakeupTag = 3;
 /** Compact the inbuf once the parsed prefix crosses this size. */
 constexpr std::size_t kInbufCompactThreshold = 64u << 10;
 
-void
-append_frame_header(std::string &out, std::size_t size)
-{
-    out.push_back(static_cast<char>(size & 0xff));
-    out.push_back(static_cast<char>((size >> 8) & 0xff));
-    out.push_back(static_cast<char>((size >> 16) & 0xff));
-    out.push_back(static_cast<char>((size >> 24) & 0xff));
-}
+/** Event-loop wait ceiling (drain/interrupt latency upper bound). */
+constexpr int kPollIntervalMs = 100;
+
+/** Grace period for flushing answered connections on drain. */
+constexpr int kDrainFlushMs = 2'000;
 
 } // namespace
 
@@ -175,7 +172,7 @@ Server::serve()
     tcp_listener_.close();
     scheduler_->drain();
     const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(config_.drain_flush_ms);
+                          std::chrono::milliseconds(kDrainFlushMs);
     on_every_loop([&](Loop &loop) {
         drain_inbox(loop);
         drain_flush(loop, deadline);
@@ -194,7 +191,7 @@ Server::run_loop(Loop &loop)
     running_loop_ = &loop;
     util::Status verdict;
     while (!drain_requested_.load() && !util::interrupt_requested()) {
-        auto waited = loop.epoll.wait(loop.events, config_.poll_interval_ms);
+        auto waited = loop.epoll.wait(loop.events, kPollIntervalMs);
         if (!waited) {
             verdict = util::Status(util::ErrorKind::IoError,
                                    "epoll_wait on an event loop failed: " +
@@ -392,34 +389,22 @@ Server::parse_frames(Connection *connection)
             connection->inbuf.size() - connection->inoff;
         if (avail < kFrameHeaderBytes)
             break;
-        const auto *bytes = reinterpret_cast<const unsigned char *>(
+        const util::Expected<std::size_t> size = read_frame_header(
             connection->inbuf.data() + connection->inoff);
-        const std::uint32_t size =
-            static_cast<std::uint32_t>(bytes[0]) |
-            (static_cast<std::uint32_t>(bytes[1]) << 8) |
-            (static_cast<std::uint32_t>(bytes[2]) << 16) |
-            (static_cast<std::uint32_t>(bytes[3]) << 24);
-        if (size > config_.max_frame_bytes) {
+        if (!size) {
             // A lying length prefix desyncs the stream: answer typed,
             // then hang up once the answer is flushed.
             note_protocol_error();
-            enqueue_ready(connection,
-                          render_error(util::Status(
-                              util::ErrorKind::CorruptData,
-                              "frame length prefix of " +
-                                  std::to_string(size) +
-                                  " bytes exceeds the " +
-                                  std::to_string(config_.max_frame_bytes) +
-                                  " byte cap")));
+            enqueue_ready(connection, render_error(size.status()));
             connection->close_after_flush = true;
             connection->inoff = connection->inbuf.size();
             break;
         }
-        if (avail < kFrameHeaderBytes + size)
+        if (avail < kFrameHeaderBytes + size.value())
             break; // incomplete frame: wait for more bytes
         const std::string payload = connection->inbuf.substr(
-            connection->inoff + kFrameHeaderBytes, size);
-        connection->inoff += kFrameHeaderBytes + size;
+            connection->inoff + kFrameHeaderBytes, size.value());
+        connection->inoff += kFrameHeaderBytes + size.value();
         dispatch(connection, payload);
         if (loop.connections.find(id) == loop.connections.end())
             return; // dispatch path destroyed the connection
@@ -516,15 +501,11 @@ Server::dispatch(Connection *connection, const std::string &payload)
 }
 
 void
-Server::enqueue_ready(Connection *connection, std::string frame,
-                      bool timed,
-                      std::chrono::steady_clock::time_point begun)
+Server::enqueue_ready(Connection *connection, std::string frame)
 {
     Reply reply;
     reply.seq = connection->next_seq++;
     reply.ready = true;
-    reply.timed = timed;
-    reply.begun = begun;
     reply.frame = std::make_shared<const std::string>(std::move(frame));
     connection->replies.push_back(std::move(reply));
 }
@@ -539,19 +520,18 @@ Server::flush_writes(Connection *connection)
         connection->replies.pop_front();
         const std::string *frame = reply.frame.get();
         std::string oversized;
-        if (frame->size() > config_.max_frame_bytes) {
+        if (frame->size() > kDefaultMaxFrameBytes) {
             // The sender must never emit a frame the peer is
             // contractually required to reject.
             oversized = render_error(util::Status(
                 util::ErrorKind::InvalidArgument,
                 "response of " + std::to_string(frame->size()) +
                     " bytes exceeds the " +
-                    std::to_string(config_.max_frame_bytes) +
+                    std::to_string(kDefaultMaxFrameBytes) +
                     " byte frame cap"));
             frame = &oversized;
         }
-        append_frame_header(connection->outbuf, frame->size());
-        connection->outbuf.append(*frame);
+        append_frame(connection->outbuf, *frame);
         if (reply.timed) {
             const double ms =
                 std::chrono::duration<double, std::milli>(
@@ -731,7 +711,6 @@ Server::stats() const
     snapshot.cache_hits = counters.cache_hits;
     snapshot.sim_runs = counters.sim_runs;
     snapshot.rejected_overloaded = counters.rejected_overloaded;
-    snapshot.rejected_deadline = counters.rejected_deadline;
     snapshot.rejected_shutting_down = counters.rejected_shutting_down;
     snapshot.queue_depth = counters.queue_depth;
     snapshot.running = counters.running;

@@ -59,14 +59,8 @@ struct ServerConfig
     bool listen_tcp = false;
     /** Ceiling a request's "instructions" must stay under. */
     std::uint64_t max_instructions = core::kDefaultMaxRequestInstructions;
-    /** Frame payload cap for both directions. */
-    std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
     /** Concurrent connections; accepts beyond this are turned away. */
     unsigned max_sessions = 10'000;
-    /** Event-loop wait ceiling (drain/interrupt latency upper bound). */
-    int poll_interval_ms = 100;
-    /** Grace period for flushing answered connections on drain. */
-    int drain_flush_ms = 2'000;
     /** Its workers count is also the number of event loops. */
     SchedulerConfig scheduler;
 };
@@ -195,9 +189,7 @@ class Server
     void parse_frames(Connection *connection);
     void dispatch(Connection *connection, const std::string &payload);
     /** Queue an already-rendered reply (ping/stats/errors). */
-    void enqueue_ready(Connection *connection, std::string frame,
-                       bool timed = false,
-                       std::chrono::steady_clock::time_point begun = {});
+    void enqueue_ready(Connection *connection, std::string frame);
     /** Move ready replies into outbuf and push bytes to the socket. */
     void flush_writes(Connection *connection);
     void update_write_interest(Connection *connection);

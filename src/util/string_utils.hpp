@@ -1,6 +1,6 @@
 /**
  * @file
- * Small string formatting helpers used by the table/CSV printers and
+ * Small string formatting helpers used by the table printer and
  * bench harnesses: percentages, thousands separators, fixed-width
  * doubles, and basic split/trim.
  */

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "util/csv.hpp"
 #include "util/logging.hpp"
 
 namespace leakbound::util {
@@ -87,19 +86,6 @@ Table::render() const
             emit_row(row);
     }
     return os.str();
-}
-
-Status
-Table::write_csv(const std::string &path) const
-{
-    CsvWriter csv(path);
-    if (!header_.empty())
-        csv.write_row(header_);
-    for (const auto &row : rows_) {
-        if (!row.empty())
-            csv.write_row(row);
-    }
-    return csv.status();
 }
 
 void

@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "util/status.hpp"
-
 namespace leakbound::util {
 
 /**
@@ -40,14 +38,6 @@ class Table
 
     /** Render and write to stdout. */
     void print() const;
-
-    /**
-     * Mirror the table (header + data rows; separators dropped) to a
-     * CSV file so plotting scripts can regenerate the figure.  Returns
-     * the writer's Status so bench reports can record — rather than die
-     * on — an unwritable --csv-dir.
-     */
-    Status write_csv(const std::string &path) const;
 
     /** Number of data rows added so far. */
     std::size_t num_rows() const { return rows_.size(); }

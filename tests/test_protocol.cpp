@@ -7,8 +7,10 @@
  * garbage JSON, a peer that vanishes mid-request — produces a typed
  * util::Status, never a crash, hang, or out-of-bounds read.
  *
- * Carries the `serve` and `chaos` CTest labels; the injector-driven
- * cases skip themselves when fault injection is compiled out.
+ * Carries the `serve` and `sanitize` CTest labels, so the asan preset
+ * runs the code that parses untrusted network bytes; the
+ * injector-driven NetFaults cases also carry `chaos` and skip
+ * themselves when fault injection is compiled out.
  */
 
 #include <gtest/gtest.h>
@@ -163,11 +165,32 @@ TEST(FrameCodec, RoundTripsPayloadsIncludingEmpty)
     }
 }
 
+TEST(FrameCodec, HeaderCarriesTheLengthUpToTheCap)
+{
+    for (const std::size_t size : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{0x030201},
+                                   kDefaultMaxFrameBytes}) {
+        const std::string header = [size] {
+            std::string framed;
+            append_frame(framed, std::string(size, 'x'));
+            return framed.substr(0, kFrameHeaderBytes);
+        }();
+        auto got = read_frame_header(header.data());
+        ASSERT_TRUE(got.has_value()) << got.status().to_string();
+        EXPECT_EQ(got.value(), size);
+    }
+    // Little-endian, so this announces the cap plus one byte.
+    const unsigned char over_cap[4] = {0x01, 0x00, 0x00, 0x01};
+    auto got = read_frame_header(reinterpret_cast<const char *>(over_cap));
+    ASSERT_FALSE(got.has_value());
+    EXPECT_EQ(got.status().kind(), util::ErrorKind::CorruptData);
+}
+
 TEST(FrameCodec, SenderRefusesOversizedPayloadWithoutWriting)
 {
     auto [client, server] = connected_pair();
     util::Status refused =
-        send_frame(client, std::string(64, 'x'), /*max_frame=*/16);
+        send_frame(client, std::string(kDefaultMaxFrameBytes + 1, 'x'));
     EXPECT_EQ(refused.kind(), util::ErrorKind::InvalidArgument);
     // Nothing reached the peer: a small frame sent next is intact.
     ASSERT_TRUE(send_frame(client, "after").ok());
@@ -424,7 +447,7 @@ TEST_F(NetFaults, ShortWritesNeverTruncateAFrame)
     ASSERT_TRUE(sent.ok()) << sent.to_string();
     fault::reset();
 
-    auto got = recv_frame(server, /*max_frame=*/1 << 20);
+    auto got = recv_frame(server);
     ASSERT_TRUE(got.has_value()) << got.status().to_string();
     EXPECT_EQ(got.value().size(), big.size());
     EXPECT_TRUE(got.value() == big)

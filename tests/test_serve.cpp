@@ -125,12 +125,8 @@ std::string
 concat_frames(const std::vector<std::string> &payloads)
 {
     std::string out;
-    for (const std::string &payload : payloads) {
-        for (int shift = 0; shift < 32; shift += 8)
-            out.push_back(
-                static_cast<char>((payload.size() >> shift) & 0xff));
-        out += payload;
-    }
+    for (const std::string &payload : payloads)
+        append_frame(out, payload);
     return out;
 }
 
@@ -201,6 +197,7 @@ TEST(DecodeRequest, RejectsBadInputWithInvalidArgument)
         R"({"type":"run","benchmarks":["gzip"],"engine":"warp"})",
         R"({"type":"run","benchmarks":["gzip"],"engine":1})",
         R"({"type":"run","benchmarks":["gzip"],"engine":"sim"})", // no such key
+        R"({"type":"run","benchmarks":["gzip"],"deadline_ms":1})", // no such key
     };
     for (const char *text : cases) {
         auto parsed = util::json_parse(text);
@@ -453,57 +450,6 @@ TEST(ResponseLru, ZeroBudgetDisablesCachingEntirely)
     EXPECT_EQ(counters.response_lru_bytes, 0u);
 }
 
-// ------------------------------------------------------ deadline shedding
-
-TEST(Scheduler, ShedsUnmeetableDeadlinesWithoutQueueing)
-{
-    Gate gate;
-    SchedulerConfig config;
-    config.workers = 1;
-    config.max_queue = 4;
-    // Seed the cost model so shedding is deterministic: every job is
-    // assumed to take ten seconds.
-    config.assumed_job_ms = 10'000.0;
-    config.before_job = gate.hook();
-    Scheduler scheduler(config);
-
-    // A: occupies the one worker, held at the gate.
-    std::future<Response> a = submit(scheduler, small_request());
-    ASSERT_TRUE(eventually([&] { return gate.entered.load() == 1; }));
-
-    // B: distinct shape, 1 ms deadline — with a 10 s cost model the
-    // estimate cannot fit, so it is shed typed and at once.
-    core::ExperimentRequest doomed = small_request(true);
-    doomed.deadline_ms = 1;
-    std::future<Response> b = submit(scheduler, std::move(doomed));
-    ASSERT_TRUE(answered(b));
-    EXPECT_EQ(response_kind(*b.get()), "overloaded");
-    EXPECT_EQ(scheduler.counters().rejected_deadline, 1u);
-
-    // C: the same shape with no deadline queues normally — deadline
-    // shedding must never reject deadline-free requests.
-    std::future<Response> c = submit(scheduler, small_request(true));
-    EXPECT_EQ(scheduler.counters().queue_depth, 1u);
-
-    // D: an identical twin of C carrying a hopeless deadline joins the
-    // in-flight group instead of being shed — the deadline is
-    // admission metadata, not part of the dedup key.
-    core::ExperimentRequest twin = small_request(true);
-    twin.deadline_ms = 1;
-    std::future<Response> d = submit(scheduler, std::move(twin));
-    EXPECT_EQ(scheduler.counters().dedup_hits, 1u);
-
-    gate.release();
-    EXPECT_EQ(response_status(*a.get()), "ok");
-    EXPECT_EQ(response_status(*c.get()), "ok");
-    EXPECT_EQ(response_status(*d.get()), "ok");
-
-    const SchedulerCounters counters = scheduler.counters();
-    EXPECT_EQ(counters.served, 3u);
-    EXPECT_EQ(counters.rejected_deadline, 1u);
-    EXPECT_EQ(counters.rejected_overloaded, 0u);
-}
-
 // ----------------------------------------------------------- full daemon
 
 namespace {
@@ -657,25 +603,60 @@ TEST_F(ServeFixture, LoadRunDedupesAndReportsIdenticalResponses)
     RunRequest request;
     request.benchmarks = {"gzip"};
     request.instructions = 20'000;
-    LoadOptions options;
-    options.total = 8;
-    options.concurrency = 8;
-    const LoadReport report = run_load(endpoint, request, options);
-    EXPECT_EQ(report.sent, 8u);
-    EXPECT_EQ(report.ok, 8u);
-    EXPECT_EQ(report.overloaded, 0u);
-    EXPECT_EQ(report.distinct_fingerprints, 1u);
-    EXPECT_EQ(report.distinct_responses, 1u)
-        << "identical requests produced non-identical response bytes";
 
+    // The three load shapes of the one worker body: a fresh connection
+    // per request, persistent lockstep, and persistent batches of four
+    // whose total (10) leaves a short last batch.
+    struct Shape
+    {
+        bool persistent;
+        unsigned pipeline;
+        std::uint64_t total;
+        unsigned concurrency;
+    };
+    const Shape shapes[] = {
+        {false, 1, 8, 8}, {true, 1, 8, 4}, {true, 4, 10, 2}};
+    std::uint64_t sent = 0;
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << "persistent " << shape.persistent << ", pipeline "
+                     << shape.pipeline);
+        LoadOptions options;
+        options.total = shape.total;
+        options.concurrency = shape.concurrency;
+        options.persistent = shape.persistent;
+        options.pipeline = shape.pipeline;
+        const std::uint64_t accepted_before =
+            server->stats().sessions_accepted;
+        const LoadReport report = run_load(endpoint, request, options);
+        EXPECT_EQ(report.sent, shape.total);
+        EXPECT_EQ(report.ok, shape.total);
+        EXPECT_EQ(report.overloaded + report.shutting_down +
+                      report.other_errors,
+                  0u);
+        EXPECT_EQ(report.latency_ms.count(), shape.total);
+        EXPECT_EQ(report.distinct_fingerprints, 1u);
+        EXPECT_EQ(report.distinct_responses, 1u)
+            << "identical requests produced non-identical response bytes";
+
+        // A fresh connection per request, or at most one per thread.
+        const std::uint64_t accepted =
+            server->stats().sessions_accepted - accepted_before;
+        if (shape.persistent) {
+            EXPECT_GE(accepted, 1u);
+            EXPECT_LE(accepted, shape.concurrency);
+        } else {
+            EXPECT_EQ(accepted, shape.total);
+        }
+        sent += shape.total;
+    }
+
+    // One simulation; every other answer joined it in flight or came
+    // from the response LRU.
     const StatsSnapshot stats = server->stats();
-    EXPECT_EQ(stats.requests_served, 8u);
-    // At least the concurrent overlap deduped or a straggler hit the
-    // response LRU; either way byte-identity holds, per
-    // distinct_responses above.
-    EXPECT_GE(stats.dedup_hits + stats.response_lru_hits +
-                  stats.cache_hits,
-              1u);
+    EXPECT_EQ(stats.requests_served, sent);
+    EXPECT_EQ(stats.sim_runs, 1u);
+    EXPECT_EQ(stats.dedup_hits + stats.response_lru_hits, sent - 1);
 }
 
 TEST_F(ServeFixture, ReapsFinishedSessionsUnderSustainedArrival)
@@ -753,8 +734,8 @@ TEST_F(ServeFixture, StatsCountResponseLruHitsExactly)
     request.instructions = 20'000;
 
     std::string cold_raw;
-    auto cold = call_endpoint(endpoint, build_run_request(request),
-                              kDefaultMaxFrameBytes, &cold_raw);
+    auto cold =
+        call_endpoint(endpoint, build_run_request(request), &cold_raw);
     ASSERT_TRUE(cold.has_value()) << cold.status().to_string();
 
     // Five sequential reruns: each must be a response-LRU hit carrying
@@ -762,8 +743,8 @@ TEST_F(ServeFixture, StatsCountResponseLruHitsExactly)
     constexpr unsigned kReruns = 5;
     for (unsigned i = 0; i < kReruns; ++i) {
         std::string warm_raw;
-        auto warm = call_endpoint(endpoint, build_run_request(request),
-                                  kDefaultMaxFrameBytes, &warm_raw);
+        auto warm =
+            call_endpoint(endpoint, build_run_request(request), &warm_raw);
         ASSERT_TRUE(warm.has_value()) << warm.status().to_string();
         EXPECT_EQ(warm_raw, cold_raw)
             << "LRU-hit rerun " << i
@@ -781,41 +762,6 @@ TEST_F(ServeFixture, StatsCountResponseLruHitsExactly)
     EXPECT_EQ(stats.find("response_lru_entries")->u64_value(), 1u);
     EXPECT_GT(stats.find("response_lru_bytes")->u64_value(), 0u);
     EXPECT_EQ(stats.find("response_lru_evictions")->u64_value(), 0u);
-}
-
-TEST_F(ServeFixture, ShedsDeadlinesEndToEnd)
-{
-    // Seed the cost model at ten seconds per job: any request carrying
-    // a millisecond-scale deadline is unmeetable from the first
-    // admission, deterministically.
-    ServerConfig config;
-    config.scheduler.assumed_job_ms = 10'000.0;
-    start(config);
-
-    // Deadline-free requests are never shed, whatever the model says.
-    RunRequest request;
-    request.benchmarks = {"gzip"};
-    request.instructions = 20'000;
-    auto ok = call_endpoint(endpoint, build_run_request(request));
-    ASSERT_TRUE(ok.has_value()) << ok.status().to_string();
-
-    // A distinct (cold) shape with a 1 ms deadline is shed typed.
-    RunRequest doomed = request;
-    doomed.want_payload = true;
-    doomed.deadline_ms = 1;
-    auto shed = call_endpoint(endpoint, build_run_request(doomed));
-    ASSERT_FALSE(shed.has_value());
-    EXPECT_EQ(shed.status().kind(), util::ErrorKind::Overloaded);
-    EXPECT_EQ(server->stats().rejected_deadline, 1u);
-    EXPECT_EQ(server->stats().rejected_overloaded, 0u)
-        << "deadline sheds must be counted apart from queue-bound "
-           "rejections";
-
-    // The same shape with a generous deadline is admitted and served.
-    doomed.deadline_ms = 3'600'000;
-    auto served = call_endpoint(endpoint, build_run_request(doomed));
-    ASSERT_TRUE(served.has_value()) << served.status().to_string();
-    EXPECT_EQ(server->stats().rejected_deadline, 1u);
 }
 
 TEST_F(ServeFixture, PipelinedRequestsAnswerInOrderOnOneConnection)

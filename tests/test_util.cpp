@@ -1,15 +1,11 @@
 /**
  * @file
  * Unit tests for the util module: accumulators, histograms, the flat
- * map, RNG determinism, string formatting, tables, CSV and CLI.
+ * map, RNG determinism, string formatting, tables and CLI.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
-#include "util/csv.hpp"
 #include "util/flat_map.hpp"
 #include "util/histogram.hpp"
 #include "util/random.hpp"
@@ -267,30 +263,6 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_NE(out.find("alpha"), std::string::npos);
     EXPECT_NE(out.find("22222"), std::string::npos);
     EXPECT_EQ(t.num_rows(), 3u);
-}
-
-// ------------------------------------------------------------------ csv
-
-TEST(Csv, EscapesAndWrites)
-{
-    EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-    EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-    EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-
-    const std::string path = ::testing::TempDir() + "lb_csv_test.csv";
-    {
-        CsvWriter w(path);
-        w.write_row({"x", "y,z"});
-        w.write_row({"1", "2"});
-        EXPECT_TRUE(w.wrote_anything());
-    }
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "x,\"y,z\"");
-    std::getline(in, line);
-    EXPECT_EQ(line, "1,2");
-    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------------ cli

@@ -247,7 +247,20 @@ main(int argc, char **argv)
     const serve::LoadReport load =
         serve::run_load(endpoint, request, options);
 
-    const serve::StatsSnapshot stats = server.stats();
+    // run_load has closed its connections, but the daemon reaps them
+    // on its own loops: wait for that (up to 5 s) so the snapshot's
+    // open_connections is what stays open, not how far reaping got.
+    serve::StatsSnapshot stats = server.stats();
+    const auto reap_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (stats.open_connections != 0 &&
+           std::chrono::steady_clock::now() < reap_deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        stats = server.stats();
+    }
+    if (stats.open_connections != 0)
+        util::warn("the daemon still holds ", stats.open_connections,
+                   " connections 5 s after the load");
     teardown();
 
     std::printf(

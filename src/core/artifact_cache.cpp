@@ -87,7 +87,9 @@ fingerprint_config(const ExperimentConfig &config)
     mix_cache_config(fp, config.hierarchy.l2);
     fp.mix_u64(config.hierarchy.memory_latency);
     fp.mix_u64(config.core.fetch_width);
-    fp.mix_u64(config.core.instr_bytes);
+    // Every instruction is kInstrBytes long; mixing the constant here
+    // keeps the keys of existing cache entries.
+    fp.mix_u64(workload::kInstrBytes);
     fp.mix_u64(config.core.miss_overlap_percent);
     fp.mix_u64(config.stride.table_entries);
     fp.mix_u64(config.stride.confirmations);

@@ -150,8 +150,8 @@ combine_results(const std::vector<SavingsResult> &results)
     return out;
 }
 
-GridOutcome
-evaluate_policy_grid_isolated(
+std::vector<SavingsResult>
+evaluate_policy_grid(
     const std::vector<const Policy *> &policies,
     const std::vector<const interval::IntervalHistogramSet *> &sets,
     unsigned jobs)
@@ -161,65 +161,11 @@ evaluate_policy_grid_isolated(
     for (const IntervalHistogramSet *set : sets)
         LEAKBOUND_ASSERT(set != nullptr, "null population in grid");
 
-    // Failures cross the worker boundary as data, never as escaping
-    // exceptions, so one poisoned cell cannot abandon the rest of the
-    // grid mid-flight.
-    struct Cell
-    {
-        std::optional<SavingsResult> result;
-        util::ErrorKind kind = util::ErrorKind::Internal;
-        std::string message;
-    };
-
     const std::size_t cols = sets.size();
-    std::vector<Cell> cells = util::parallel_map_ordered(
+    return util::parallel_map_ordered(
         policies.size() * cols, jobs, [&](std::size_t i) {
-            Cell cell;
-            try {
-                cell.result =
-                    evaluate_policy(*policies[i / cols], *sets[i % cols]);
-            } catch (const util::StatusError &e) {
-                cell.kind = e.status().kind();
-                cell.message = e.status().message();
-            } catch (const std::exception &e) {
-                cell.message = e.what();
-            }
-            return cell;
+            return evaluate_policy(*policies[i / cols], *sets[i % cols]);
         });
-
-    GridOutcome outcome;
-    outcome.cells.resize(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (cells[i].result) {
-            outcome.cells[i] = std::move(cells[i].result);
-            continue;
-        }
-        outcome.failures.push_back(
-            GridFailure{i, policies[i / cols]->name(), cells[i].kind,
-                        std::move(cells[i].message)});
-    }
-    return outcome;
-}
-
-std::vector<SavingsResult>
-evaluate_policy_grid(
-    const std::vector<const Policy *> &policies,
-    const std::vector<const interval::IntervalHistogramSet *> &sets,
-    unsigned jobs)
-{
-    GridOutcome outcome =
-        evaluate_policy_grid_isolated(policies, sets, jobs);
-    if (!outcome.failures.empty()) {
-        const GridFailure &first = outcome.failures.front();
-        throw util::StatusError(util::Status(
-            first.kind, "grid cell for policy '" + first.policy +
-                            "' failed: " + first.message));
-    }
-    std::vector<SavingsResult> results;
-    results.reserve(outcome.cells.size());
-    for (auto &cell : outcome.cells)
-        results.push_back(std::move(*cell));
-    return results;
 }
 
 } // namespace leakbound::core

@@ -14,13 +14,11 @@
 #ifndef LEAKBOUND_CORE_SAVINGS_HPP
 #define LEAKBOUND_CORE_SAVINGS_HPP
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/policy.hpp"
 #include "interval/interval_histogram.hpp"
-#include "util/status.hpp"
 
 namespace leakbound::core {
 
@@ -69,24 +67,6 @@ SavingsResult evaluate_policy_raw(const Policy &policy,
  */
 SavingsResult combine_results(const std::vector<SavingsResult> &results);
 
-/** How one grid cell's evaluation died. */
-struct GridFailure
-{
-    std::size_t cell = 0;     ///< row-major cell index
-    std::string policy;       ///< the cell's policy name
-    util::ErrorKind kind = util::ErrorKind::Internal;
-    std::string message;
-};
-
-/** Result of a fault-isolated grid evaluation. */
-struct GridOutcome
-{
-    /** Row-major cells; nullopt where that evaluation failed. */
-    std::vector<std::optional<SavingsResult>> cells;
-    /** One entry per empty cell, in cell order. */
-    std::vector<GridFailure> failures;
-};
-
 /**
  * Evaluate every (policy, population) pair of a grid, fanning the
  * cells out over a util::ThreadPool of @p jobs workers (resolved via
@@ -97,20 +77,8 @@ struct GridOutcome
  * (policy, set), and results are merged back in submission order, so
  * the output is bit-identical to the serial double loop for every
  * jobs value — the suite runner's determinism contract one level down.
- *
- * Fault isolation: an exception thrown while evaluating one cell is
- * caught at the worker boundary and recorded in failures; every other
- * cell still evaluates and lands byte-identical to a failure-free run.
- */
-GridOutcome
-evaluate_policy_grid_isolated(
-    const std::vector<const Policy *> &policies,
-    const std::vector<const interval::IntervalHistogramSet *> &sets,
-    unsigned jobs = 1);
-
-/**
- * All-or-nothing wrapper over evaluate_policy_grid_isolated(): the
- * first cell failure is rethrown as util::StatusError.
+ * An exception thrown by a cell's evaluation propagates, the first
+ * failing cell's in cell order.
  */
 std::vector<SavingsResult>
 evaluate_policy_grid(const std::vector<const Policy *> &policies,

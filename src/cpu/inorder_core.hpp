@@ -23,10 +23,8 @@
  * distance to the end of the I-line, the remaining budget — and only
  * memory ops are visited one at a time.  A group continues into the
  * next span only when that span starts where the group's next
- * instruction would (group_pc + size * instr_bytes) on the same
- * I-line, which is the per-op rule; inside a span it continues only
- * when instr_bytes equals the span step, otherwise a span yields one
- * instruction per group, as the per-op rule would.
+ * instruction would (group_pc + size * kInstrBytes) on the same
+ * I-line, which is the per-op rule.
  */
 
 #ifndef LEAKBOUND_CPU_INORDER_CORE_HPP
@@ -45,7 +43,6 @@ namespace leakbound::cpu {
 struct CoreConfig
 {
     std::uint32_t fetch_width = 4; ///< instructions per fetch group
-    std::uint32_t instr_bytes = 4; ///< fixed-width Alpha-style encoding
     /**
      * Fraction (percent) of the worst miss penalty in a fetch group
      * that actually stalls the core.  Approximates the out-of-order
@@ -190,13 +187,6 @@ class InOrderCore
         const std::uint32_t line_shift =
             hierarchy_->config().l1i.line_shift();
         const std::uint32_t width = config_.fetch_width;
-        const Pc instr_bytes = config_.instr_bytes;
-        // The most a group takes from one span: the fetch width when
-        // instructions are as long as the span step; otherwise one,
-        // since the span's next instruction is then not where the
-        // group's next instruction would be.
-        const std::uint32_t span_width =
-            instr_bytes == kInstrBytes ? width : 1;
 
         // The cursor and the clock live in locals for the whole run, so
         // hierarchy and listener calls cannot force them back to memory.
@@ -221,9 +211,8 @@ class InOrderCore
                 // Take what the group may from this span: bounded by
                 // the span, the width, the line and the budget.
                 const Pc pc = span->pc + Pc{at.pos} * kInstrBytes;
-                std::uint64_t take = std::min(
-                    span->instrs - at.pos,
-                    std::min(span_width, width - group_size));
+                std::uint64_t take =
+                    std::min(span->instrs - at.pos, width - group_size);
                 take = std::min(
                     take, (line_end - pc + kInstrBytes - 1) / kInstrBytes);
                 take = std::min(take, left);
@@ -268,7 +257,7 @@ class InOrderCore
                 if (at.span == batch_.spans && !refill(at, left))
                     break;
                 span = &batch_.span[at.span];
-                if (span->pc != group_pc + group_size * instr_bytes ||
+                if (span->pc != group_pc + Pc{group_size} * kInstrBytes ||
                     span->pc >> line_shift != group_line) {
                     break;
                 }

@@ -18,9 +18,7 @@ IntervalHistogramSet::IntervalHistogramSet(std::vector<std::uint64_t> edges)
     LEAKBOUND_ASSERT(!index_->edges().empty() &&
                          index_->edges().front() == 0,
                      "interval histogram edges must start at 0");
-    hists_.reserve(kNumSlots);
-    for (std::size_t i = 0; i < kNumSlots; ++i)
-        hists_.emplace_back(index_);
+    bins_.resize(kNumSlots * index_->num_bins());
 }
 
 IntervalHistogramSet
@@ -36,7 +34,7 @@ IntervalHistogramSet::write_view()
     WriteView view;
     view.index = index_.get();
     for (std::size_t i = 0; i < kNumSlots; ++i)
-        view.bins[i] = hists_[i].raw_bins();
+        view.bins[i] = row(i);
     return view;
 }
 
@@ -45,8 +43,10 @@ IntervalHistogramSet::merge(const IntervalHistogramSet &other)
 {
     LEAKBOUND_ASSERT(index_ == other.index_ || edges() == other.edges(),
                      "merging interval sets with different edges");
-    for (std::size_t i = 0; i < hists_.size(); ++i)
-        hists_[i].merge(other.hists_[i]);
+    for (std::size_t i = 0; i < bins_.size(); ++i) {
+        bins_[i].count += other.bins_[i].count;
+        bins_[i].sum += other.bins_[i].sum;
+    }
     num_frames_ += other.num_frames_;
     // Runs are merged side by side (e.g. averaging benchmarks); the
     // cycle axis must match for baseline_energy to stay meaningful, so
@@ -75,45 +75,36 @@ void
 IntervalHistogramSet::for_each_cell(
     const std::function<void(const CellRef &)> &fn) const
 {
-    auto emit = [&fn](const util::Histogram &h, IntervalKind kind,
-                      PrefetchClass pf, bool reuse) {
-        for (std::size_t i = 0; i < h.num_bins(); ++i) {
-            const auto &b = h.bin(i);
-            if (b.count == 0)
+    const std::vector<std::uint64_t> &e = edges();
+    const std::size_t n = e.size();
+    for (std::size_t s = 0; s < kNumSlots; ++s) {
+        CellRef cell;
+        cell.kind = s < kInnerSlots      ? IntervalKind::Inner
+                    : s == kLeadingSlot  ? IntervalKind::Leading
+                    : s == kTrailingSlot ? IntervalKind::Trailing
+                                         : IntervalKind::Untouched;
+        cell.pf = s < kInnerSlots ? static_cast<PrefetchClass>(s / 2)
+                                  : PrefetchClass::NonPrefetchable;
+        cell.ends_in_reuse = s < kInnerSlots && s % 2 == 1;
+        const HistBin *bins = row(s);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (bins[i].count == 0)
                 continue;
-            CellRef cell;
-            cell.kind = kind;
-            cell.pf = pf;
-            cell.ends_in_reuse = reuse;
-            cell.lower = h.lower_edge(i);
-            cell.upper = h.upper_edge(i);
-            cell.count = b.count;
-            cell.sum = b.sum;
+            cell.lower = e[i];
+            cell.upper = i + 1 < n ? e[i + 1] : ~Cycles{0};
+            cell.count = bins[i].count;
+            cell.sum = bins[i].sum;
             fn(cell);
         }
-    };
-
-    for (std::size_t p = 0; p < kNumPrefetchClasses; ++p) {
-        for (int reuse = 0; reuse < 2; ++reuse) {
-            const auto pf = static_cast<PrefetchClass>(p);
-            emit(hists_[slot(IntervalKind::Inner, pf, reuse != 0)],
-                 IntervalKind::Inner, pf, reuse != 0);
-        }
     }
-    emit(hists_[kLeadingSlot], IntervalKind::Leading,
-         PrefetchClass::NonPrefetchable, false);
-    emit(hists_[kTrailingSlot], IntervalKind::Trailing,
-         PrefetchClass::NonPrefetchable, false);
-    emit(hists_[kUntouchedSlot], IntervalKind::Untouched,
-         PrefetchClass::NonPrefetchable, false);
 }
 
 std::uint64_t
 IntervalHistogramSet::total_intervals() const
 {
     std::uint64_t total = 0;
-    for (const auto &h : hists_)
-        total += h.total_count();
+    for (const HistBin &b : bins_)
+        total += b.count;
     return total;
 }
 
@@ -121,8 +112,8 @@ std::uint64_t
 IntervalHistogramSet::total_inner_intervals() const
 {
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < kInnerSlots; ++i)
-        total += hists_[i].total_count();
+    for (const HistBin *b = row(0); b != row(kInnerSlots); ++b)
+        total += b->count;
     return total;
 }
 
@@ -130,8 +121,8 @@ std::uint64_t
 IntervalHistogramSet::total_length() const
 {
     std::uint64_t total = 0;
-    for (const auto &h : hists_)
-        total += h.total_sum();
+    for (const HistBin &b : bins_)
+        total += b.sum;
     return total;
 }
 
@@ -139,12 +130,15 @@ std::uint64_t
 IntervalHistogramSet::inner_count_in(PrefetchClass pf, Cycles lo,
                                      Cycles hi) const
 {
+    const std::vector<std::uint64_t> &e = edges();
+    const std::size_t n = e.size();
     std::uint64_t total = 0;
     for (int reuse = 0; reuse < 2; ++reuse) {
-        const auto &h = hists_[slot(IntervalKind::Inner, pf, reuse != 0)];
-        for (std::size_t i = 0; i < h.num_bins(); ++i) {
-            if (h.lower_edge(i) >= lo && h.upper_edge(i) <= hi)
-                total += h.bin(i).count;
+        const HistBin *bins = row(slot(IntervalKind::Inner, pf, reuse != 0));
+        for (std::size_t i = 0; i < n; ++i) {
+            const Cycles upper = i + 1 < n ? e[i + 1] : ~Cycles{0};
+            if (e[i] >= lo && upper <= hi)
+                total += bins[i].count;
         }
     }
     return total;
@@ -162,10 +156,17 @@ IntervalHistogramSet::inner_count_in(Cycles lo, Cycles hi) const
 void
 IntervalHistogramSet::serialize(util::BinaryWriter &w) const
 {
-    w.put_u64_vector(index_->edges());
-    w.put_u64(hists_.size());
-    for (const util::Histogram &h : hists_)
-        h.write_bins(w);
+    const std::size_t n = index_->num_bins();
+    w.put_u64_vector(edges());
+    w.put_u64(kNumSlots);
+    for (std::size_t s = 0; s < kNumSlots; ++s) {
+        w.put_u64(n);
+        const HistBin *bins = row(s);
+        for (std::size_t i = 0; i < n; ++i) {
+            w.put_u64(bins[i].count);
+            w.put_u64(bins[i].sum);
+        }
+    }
     w.put_u64(num_frames_);
     w.put_u64(total_cycles_);
 }
@@ -181,11 +182,19 @@ IntervalHistogramSet::deserialize(util::BinaryReader &r)
             return std::nullopt;
 
     IntervalHistogramSet set(std::move(edges));
-    if (r.get_u64() != set.hists_.size() || r.failed())
+    const std::size_t n = set.index_->num_bins();
+    if (r.get_u64() != kNumSlots || r.failed())
         return std::nullopt;
-    for (util::Histogram &h : set.hists_)
-        if (!h.read_bins(r))
+    for (std::size_t s = 0; s < kNumSlots; ++s) {
+        // A failed read returns 0, which is never a row's bin count.
+        if (r.get_u64() != n)
             return std::nullopt;
+        HistBin *bins = set.row(s);
+        for (std::size_t i = 0; i < n; ++i) {
+            bins[i].count = r.get_u64();
+            bins[i].sum = r.get_u64();
+        }
+    }
     set.num_frames_ = r.get_u64();
     set.total_cycles_ = r.get_u64();
     if (r.failed())

@@ -23,11 +23,18 @@
 
 #include "interval/interval.hpp"
 #include "util/binary_io.hpp"
-#include "util/histogram.hpp"
+#include "util/edge_index.hpp"
 #include "util/logging.hpp"
 #include "util/types.hpp"
 
 namespace leakbound::interval {
+
+/** Count and summed length of the intervals in one bin. */
+struct HistBin
+{
+    std::uint64_t count = 0; ///< intervals in the bin
+    std::uint64_t sum = 0;   ///< summed lengths of those intervals
+};
 
 /** Identity of one histogram cell during iteration. */
 struct CellRef
@@ -43,15 +50,19 @@ struct CellRef
 
 /**
  * The full interval population of one cache over one run, stored as
- * per-(kind, pf, reuse) histograms plus the frame/cycle totals needed
- * to normalize savings.
+ * one bin table — a row of (count, ΣL) bins per (kind, pf, reuse) slot
+ * over one shared edge list — plus the frame/cycle totals needed to
+ * normalize savings.  Bin i of a row covers lengths
+ * [edges[i], edges[i+1]); the last bin is the overflow [edges.back(),
+ * +inf).
  */
 class IntervalHistogramSet
 {
   public:
     /**
-     * Histogram slots.  Inner intervals use slots [0, kInnerSlots) =
-     * pf * 2 + reuse; Leading, Trailing and Untouched follow.
+     * Rows of the bin table.  Inner intervals use slots
+     * [0, kInnerSlots) = pf * 2 + reuse; Leading, Trailing and
+     * Untouched follow.
      */
     static constexpr std::size_t kInnerSlots = kNumPrefetchClasses * 2;
     static constexpr std::size_t kLeadingSlot = kInnerSlots;
@@ -60,24 +71,24 @@ class IntervalHistogramSet
     static constexpr std::size_t kNumSlots = kInnerSlots + 3;
 
     /**
-     * Write access to the nine histograms, resolved once: each slot's
-     * bin array and the shared edge index.  The simulation kernel's
-     * sink (IntervalCollector): recording an interval is one bin lookup
-     * and one bin update, with no indirection through the set.  The
-     * view points at storage the histograms own, so it stays valid
-     * while the set lives, moves included; a copy of the set has bins
-     * of its own, which a view of the original does not reach.
+     * Write access to the bin table, resolved once: each slot's row
+     * and the shared edge index.  The simulation kernel's sink
+     * (IntervalCollector): recording an interval is one bin lookup and
+     * one bin update, with no indirection through the set.  The view
+     * points into the set's table, so it stays valid while the set
+     * lives, moves included; a copy of the set has a table of its own,
+     * which a view of the original does not reach.
      */
     struct WriteView
     {
         const util::EdgeIndex *index = nullptr;
-        std::array<util::HistBin *, kNumSlots> bins{};
+        std::array<HistBin *, kNumSlots> bins{};
 
         /** Record one interval of @p length in @p slot. */
         void
         add(std::size_t slot, Cycles length) const
         {
-            util::HistBin &b = bins[slot][index->bin_index(length)];
+            HistBin &b = bins[slot][index->bin_index(length)];
             ++b.count;
             b.sum += length;
         }
@@ -94,7 +105,10 @@ class IntervalHistogramSet
     void
     add(const Interval &iv)
     {
-        hists_[slot(iv.kind, iv.pf, iv.ends_in_reuse)].add(iv.length);
+        const std::size_t s = slot(iv.kind, iv.pf, iv.ends_in_reuse);
+        HistBin &b = row(s)[index_->bin_index(iv.length)];
+        ++b.count;
+        b.sum += iv.length;
     }
 
     /** A write view of this set (see WriteView for its lifetime). */
@@ -144,11 +158,12 @@ class IntervalHistogramSet
     }
 
     /**
-     * Append the full set — edge list, every histogram's bins, and the
-     * run info — to @p w in the stable little-endian layout the
-     * artifact cache persists (see core::ArtifactCache).  The output
-     * is a pure function of the set's contents, so two observably
-     * equal sets serialize to identical bytes.
+     * Append the full set — edge list, the slot count, each row's bin
+     * count and (count, sum) pairs, and the run info — to @p w in the
+     * stable little-endian layout the artifact cache persists (see
+     * core::ArtifactCache).  The output is a pure function of the
+     * set's contents, so two observably equal sets serialize to
+     * identical bytes.
      */
     void serialize(util::BinaryWriter &w) const;
 
@@ -172,7 +187,7 @@ class IntervalHistogramSet
     default_edges(const std::vector<Cycles> &extra_thresholds = {});
 
   private:
-    /** Histogram slot of (kind, pf, reuse); see kInnerSlots. */
+    /** Row slot of (kind, pf, reuse); see kInnerSlots. */
     static std::size_t
     slot(IntervalKind kind, PrefetchClass pf, bool reuse)
     {
@@ -189,10 +204,23 @@ class IntervalHistogramSet
         LEAKBOUND_PANIC("unreachable: bad IntervalKind");
     }
 
-    /** One O(1) edge index shared by all nine histograms. */
+    /** The first of @p slot's bins (one per edge). */
+    HistBin *
+    row(std::size_t slot)
+    {
+        return bins_.data() + slot * index_->num_bins();
+    }
+
+    const HistBin *
+    row(std::size_t slot) const
+    {
+        return bins_.data() + slot * index_->num_bins();
+    }
+
+    /** One O(1) edge index shared by all nine rows. */
     std::shared_ptr<const util::EdgeIndex> index_;
-    /** One histogram per slot (kNumSlots of them). */
-    std::vector<util::Histogram> hists_;
+    /** kNumSlots rows of index_->num_bins() bins, row after row. */
+    std::vector<HistBin> bins_;
     std::uint64_t num_frames_ = 0;
     Cycles total_cycles_ = 0;
 };

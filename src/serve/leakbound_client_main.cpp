@@ -175,11 +175,11 @@ main(int argc, char **argv)
         serve::run_load(endpoint, request, options);
     std::printf(
         "load: %llu sent, %llu ok, %llu overloaded, %llu "
-        "shutting_down, %llu errors in %.2fs "
+        "shutting_down, %llu errors in %.4fs "
         "(%llu idle connection(s) held)\n"
         "dedup: %llu distinct fingerprint(s), %llu distinct "
         "response body(ies)\n"
-        "latency: p50 %.1f ms, p99 %.1f ms, max %.1f ms\n",
+        "latency: p50 %.3f ms, p99 %.3f ms, max %.3f ms\n",
         static_cast<unsigned long long>(report.sent),
         static_cast<unsigned long long>(report.ok),
         static_cast<unsigned long long>(report.overloaded),

@@ -2,9 +2,9 @@
  * @file
  * O(1) bin lookup over an immutable, shared histogram edge list.
  *
- * Histogram::bin_index used to binary-search the ~190-entry edge list
- * on every sample — the single hottest operation of the simulator (one
- * lookup per closed interval per access).  EdgeIndex precomputes two
+ * Binning used to binary-search the ~190-entry edge list on every
+ * sample — the single hottest operation of the simulator (one lookup
+ * per closed interval per access).  EdgeIndex precomputes two
  * small tables once per edge list:
  *
  *   - a *dense* direct-index table answering every value below 4096 in
@@ -17,7 +17,7 @@
  *     final walk is a short bounded scan (0 steps for most slots).
  *
  * The index is immutable after construction, so one instance is safely
- * shared — across the 9 histograms of an interval::IntervalHistogramSet
+ * shared — across the nine rows of an interval::IntervalHistogramSet
  * and across threads of the pooled evaluators.  Debug builds
  * cross-check every lookup against the std::upper_bound reference.
  */
@@ -35,10 +35,9 @@
 namespace leakbound::util {
 
 /**
- * Immutable O(1) value->bin index over a sorted, unique edge list.
- * Bin semantics match Histogram: bin i covers [edges[i], edges[i+1]),
- * the last bin is [edges.back(), +inf), and values below edges[0]
- * clamp into bin 0.
+ * Immutable O(1) value->bin index over a sorted, unique edge list:
+ * bin i covers [edges[i], edges[i+1]), the last bin is
+ * [edges.back(), +inf), and values below edges[0] clamp into bin 0.
  */
 class EdgeIndex
 {

@@ -76,7 +76,7 @@ class ReferenceCore
                     stats.instructions >= max_instructions) {
                     break;
                 }
-                expected_pc += config_.instr_bytes;
+                expected_pc += workload::kInstrBytes;
                 op = peek();
                 if (!op || op->pc != expected_pc ||
                     op->pc >> line_shift != group_line) {

@@ -228,7 +228,6 @@ TEST(ArtifactCache, FingerprintSensitiveToEveryField)
     });
     add("mem.latency", [](auto &c) { c.hierarchy.memory_latency += 10; });
     add("fetch_width", [](auto &c) { c.core.fetch_width += 1; });
-    add("instr_bytes", [](auto &c) { c.core.instr_bytes *= 2; });
     add("overlap", [](auto &c) { c.core.miss_overlap_percent += 5; });
     add("stride.entries", [](auto &c) { c.stride.table_entries *= 2; });
     add("stride.confirm", [](auto &c) { c.stride.confirmations += 1; });

@@ -4,7 +4,7 @@
  * equivalence with the std::upper_bound reference over fuzzed edge
  * lists and values (below-range clamp, exact edges, edge +/- 1,
  * overflow bin, huge magnitudes), plus the sharing contract with
- * Histogram and IntervalHistogramSet.
+ * IntervalHistogramSet.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "interval/interval_histogram.hpp"
 #include "util/edge_index.hpp"
-#include "util/histogram.hpp"
 #include "util/random.hpp"
 
 using namespace leakbound;
@@ -122,27 +121,16 @@ TEST(EdgeIndex, FuzzedEdgeListsMatchReferenceEverywhere)
     }
 }
 
-TEST(EdgeIndex, HistogramsShareOneIndex)
-{
-    auto index = EdgeIndex::make({0, 10, 100});
-    util::Histogram a(index);
-    util::Histogram b(index);
-    EXPECT_EQ(a.edge_index().get(), b.edge_index().get());
-    EXPECT_EQ(a.edges(), b.edges());
-
-    a.add(5);
-    b.add(50);
-    b.merge(a); // shared index: merge must accept without copying edges
-    EXPECT_EQ(b.total_count(), 2u);
-    EXPECT_EQ(b.bin(0).count, 1u);
-    EXPECT_EQ(b.bin(1).count, 1u);
-}
-
 TEST(EdgeIndex, IntervalSetHistogramsShareTheSetIndex)
 {
+    // Sets over one edge list share its interned index (edges() is the
+    // index's own list), so merging them copies no edges.
     auto set = interval::IntervalHistogramSet::with_default_edges();
+    auto other = interval::IntervalHistogramSet::with_default_edges();
+    EXPECT_EQ(&set.edges(), &other.edges());
+
     // Feed every slot and confirm totals; the set shares one index
-    // across its nine histograms, so totals must still be exact.
+    // across its nine rows, so totals must still be exact.
     util::Rng rng(303);
     std::uint64_t expected_sum = 0;
     for (int i = 0; i < 10'000; ++i) {
@@ -156,4 +144,11 @@ TEST(EdgeIndex, IntervalSetHistogramsShareTheSetIndex)
     }
     EXPECT_EQ(set.total_intervals(), 10'000u);
     EXPECT_EQ(set.total_length(), expected_sum);
+
+    interval::Interval iv;
+    iv.length = 5;
+    other.add(iv);
+    set.merge(other);
+    EXPECT_EQ(set.total_intervals(), 10'001u);
+    EXPECT_EQ(set.total_length(), expected_sum + 5);
 }

@@ -57,10 +57,9 @@
  *  - Span fetch: cpu::InOrderCore against the per-op run loop
  *    (reference_core.hpp) over random scripted programs (PC jumps,
  *    I-line crossings, 2/4/8-byte PC steps) and the nine benchmark
- *    workloads, at fetch widths 1-8 and instr_bytes 2, 4 and 8, in
- *    random chains of run_until calls whose budgets end mid-group,
- *    asserting every listener event, every call's statistics and the
- *    cycle after every call.
+ *    workloads, at fetch widths 1-8, in random chains of run_until
+ *    calls whose budgets end mid-group, asserting every listener
+ *    event, every call's statistics and the cycle after every call.
  */
 
 #include <gtest/gtest.h>
@@ -1358,20 +1357,17 @@ run_lockstep(cpu::InOrderCore &core, oracle::ReferenceCore &reference,
  * Span fetch against the per-op run loop on scripted programs: the
  * default next_spans splits them into spans wherever the PC step is
  * not 4 bytes, so group formation is checked across span boundaries,
- * inside spans, at every line offset and for instruction sizes the
- * spans' step does not match.
+ * inside spans and at every line offset.
  */
 TEST(SpanFetch, ScriptedProgramsMatchPerOpCore)
 {
     constexpr std::uint64_t kPrograms = 400;
-    const std::uint32_t instr_bytes[] = {2, 4, 8};
     for (std::uint64_t seed = 1; seed <= kPrograms; ++seed) {
         util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 5);
         const std::vector<trace::MicroOp> script =
             random_script(rng, 200 + rng.next_below(3000));
         cpu::CoreConfig config;
         config.fetch_width = 1 + static_cast<std::uint32_t>(rng.next_below(8));
-        config.instr_bytes = instr_bytes[rng.next_below(3)];
         config.miss_overlap_percent =
             static_cast<std::uint32_t>(rng.next_below(101));
         sim::HierarchyConfig geometry;
@@ -1383,10 +1379,9 @@ TEST(SpanFetch, ScriptedProgramsMatchPerOpCore)
         sim::Hierarchy h2{geometry};
         cpu::InOrderCore core(config, &h1, &w1);
         oracle::ReferenceCore reference(config, &h2, &w2);
-        const std::string label =
-            "seed " + std::to_string(seed) + " width " +
-            std::to_string(config.fetch_width) + " instr_bytes " +
-            std::to_string(config.instr_bytes);
+        const std::string label = "seed " + std::to_string(seed) +
+                                  " width " +
+                                  std::to_string(config.fetch_width);
         run_lockstep(core, reference, rng, ~std::uint64_t{0}, label);
         if (HasFatalFailure())
             return;
@@ -1407,13 +1402,11 @@ TEST(SpanFetch, BenchmarksMatchPerOpCore)
         "ammp", "applu", "gcc",    "gzip", "mesa",
         "vortex", "stream", "stencil", "chase"};
     util::Rng rng(0x5fa9);
-    const std::uint32_t instr_bytes[] = {4, 4, 2, 8};
     for (const std::string &name : names) {
         for (int round = 0; round < 2; ++round) {
             cpu::CoreConfig config;
             config.fetch_width =
                 1 + static_cast<std::uint32_t>(rng.next_below(8));
-            config.instr_bytes = instr_bytes[rng.next_below(4)];
             auto w1 = workload::make_benchmark(name);
             auto w2 = workload::make_benchmark(name);
             sim::Hierarchy h1{sim::HierarchyConfig{}};
@@ -1422,9 +1415,7 @@ TEST(SpanFetch, BenchmarksMatchPerOpCore)
             oracle::ReferenceCore reference(config, &h2, w2.get());
             run_lockstep(core, reference, rng, 40'000,
                          name + " width " +
-                             std::to_string(config.fetch_width) +
-                             " instr_bytes " +
-                             std::to_string(config.instr_bytes));
+                             std::to_string(config.fetch_width));
             if (HasFatalFailure())
                 return;
         }

@@ -1,13 +1,12 @@
 /**
  * @file
- * Unit tests for the util module: accumulators, histograms, the flat
- * map, RNG determinism, string formatting, tables and CLI.
+ * Unit tests for the util module: accumulators, the flat map, RNG
+ * determinism, string formatting, tables and CLI.
  */
 
 #include <gtest/gtest.h>
 
 #include "util/flat_map.hpp"
-#include "util/histogram.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 #include "util/string_utils.hpp"
@@ -66,60 +65,6 @@ TEST(Accumulator, MergeEqualsSequential)
     EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
     EXPECT_DOUBLE_EQ(left.min(), all.min());
     EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-// ------------------------------------------------------------ histogram
-
-TEST(Histogram, BinIndexAndEdges)
-{
-    Histogram h({0, 10, 100});
-    EXPECT_EQ(h.num_bins(), 3u);
-    EXPECT_EQ(h.bin_index(0), 0u);
-    EXPECT_EQ(h.bin_index(9), 0u);
-    EXPECT_EQ(h.bin_index(10), 1u);
-    EXPECT_EQ(h.bin_index(99), 1u);
-    EXPECT_EQ(h.bin_index(100), 2u);
-    EXPECT_EQ(h.bin_index(~0ULL), 2u);
-    EXPECT_EQ(h.lower_edge(1), 10u);
-    EXPECT_EQ(h.upper_edge(1), 100u);
-    EXPECT_EQ(h.upper_edge(2), ~0ULL);
-}
-
-TEST(Histogram, CountsAndSums)
-{
-    Histogram h({0, 10, 100});
-    h.add(3);
-    h.add(7);
-    h.add_many(50, 4);
-    h.add(1000);
-    EXPECT_EQ(h.bin(0).count, 2u);
-    EXPECT_EQ(h.bin(0).sum, 10u);
-    EXPECT_EQ(h.bin(1).count, 4u);
-    EXPECT_EQ(h.bin(1).sum, 200u);
-    EXPECT_EQ(h.bin(2).count, 1u);
-    EXPECT_EQ(h.total_count(), 7u);
-    EXPECT_EQ(h.total_sum(), 1210u);
-}
-
-TEST(Histogram, MergePreservesTotals)
-{
-    Histogram a({0, 5});
-    Histogram b({0, 5});
-    a.add(1);
-    b.add(7);
-    b.add(2);
-    a.merge(b);
-    EXPECT_EQ(a.total_count(), 3u);
-    EXPECT_EQ(a.total_sum(), 10u);
-}
-
-TEST(Histogram, Log2EdgesCoverRange)
-{
-    const auto edges = Histogram::log2_edges(1000);
-    EXPECT_EQ(edges.front(), 0u);
-    EXPECT_EQ(edges.back(), 1000u);
-    for (std::size_t i = 1; i < edges.size(); ++i)
-        EXPECT_LT(edges[i - 1], edges[i]);
 }
 
 // ------------------------------------------------------------- flat map
